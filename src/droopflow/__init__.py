@@ -13,15 +13,11 @@ from .analysis import (
     FrequencyPrediction,
     edge_split,
     predict,
-    reduced_quadratic,
-    verify_cross_coordinates,
 )
 from .dynamics import (
     DROOP,
     EDGE_PD,
     NETWORKED,
-    NODE_PD,
-    SYSTEMS,
     IntegrationError,
     PrimalDualState,
     SyncMetrics,
@@ -31,10 +27,8 @@ from .dynamics import (
     edge_pd_rhs,
     integrate,
     networked_rhs,
-    node_pd_rhs,
-    node_pd_system,
+    rhs,
     sync_metrics,
-    tangent_project,
     zero_state,
 )
 from .graph import (
@@ -79,11 +73,9 @@ __all__ = [
     "IntegrationError",
     "KKTPoint",
     "NETWORKED",
-    "NODE_PD",
     "NetworkGraph",
     "OracleSolution",
     "PrimalDualState",
-    "SYSTEMS",
     "Scenario",
     "ScenarioError",
     "SuiteReport",
@@ -103,20 +95,16 @@ __all__ = [
     "kkt_residual_nodal",
     "load_scenario",
     "networked_rhs",
-    "node_pd_rhs",
-    "node_pd_system",
     "objective_nodal",
     "predict",
     "project_off_consensus",
     "recover_theta",
-    "reduced_quadratic",
+    "rhs",
     "run_suite",
     "solve",
     "sync_metrics",
-    "tangent_project",
     "to_edge_coords",
     "validate",
-    "verify_cross_coordinates",
     "violation",
     "zero_state",
 ]

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .graph import RANK_RTOL, to_edge_coords
-from .problem import (
-    DEFAULT_KKT_TOL,
-    FlowProblem,
-    KKTPoint,
-    kkt_residual_edge,
-    kkt_residual_nodal,
-)
+from .graph import RANK_RTOL
+from .problem import FlowProblem
 
 # Tolerance for the formula-vs-oracle frequency cross-check.
 PREDICTION_TOL = 1e-9
@@ -141,76 +135,4 @@ def edge_split(p: FlowProblem) -> EdgeSplit:
         gamma_plus=u[:, ~zero],
         gamma_zero=u[:, zero],
         eigenvalues=w[order],
-    )
-
-
-def reduced_quadratic(p: FlowProblem, split: EdgeSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic data (H, c) of the objective in gamma_plus coordinates.
-
-    With eta = gamma_plus @ y (plus any kernel component, which the
-    objective ignores), the edge objective equals
-    0.5 * y @ H @ y + c @ y up to a constant. H is diagonal by
-    construction.
-    """
-    t = p.transform
-    r = split.gamma_plus.shape[1]
-    h = np.diag(split.eigenvalues[:r])
-    c = split.gamma_plus.T @ (t.V @ (t.B.T @ (p.m * (p.p_load - p.p_star))))
-    return h, c
-
-
-@dataclass(frozen=True)
-class CrossCoordinateReport:
-    """Joint nodal/edge KKT evaluation of one candidate point."""
-
-    nodal: KKTPoint
-    edge: KKTPoint
-    both_accept: bool
-    both_reject: bool
-    stationarity_consistent: bool
-    sigma_max: float
-    sigma_min_pos: float
-
-
-def verify_cross_coordinates(
-    p: FlowProblem,
-    theta: np.ndarray,
-    lambda_lo: np.ndarray,
-    lambda_hi: np.ndarray,
-    tol: float = DEFAULT_KKT_TOL,
-) -> CrossCoordinateReport:
-    """Check a nodal candidate in both coordinate systems.
-
-    Evaluates the nodal residuals at (theta, lambda) and the edge
-    residuals at (V B^T theta, lambda). The two stationarity measures
-    ||off-consensus s|| and ||B^T s|| bound each other through the
-    extreme nonzero singular values of B, so a disagreement outside
-    that corridor is flagged as a numerical inconsistency rather than a
-    property of the point.
-    """
-    t = p.transform
-    nodal = kkt_residual_nodal(p, theta, lambda_lo, lambda_hi)
-    eta = to_edge_coords(t, np.asarray(theta, dtype=float))
-    edge = kkt_residual_edge(p, eta, lambda_lo, lambda_hi)
-
-    sigma = np.linalg.svd(t.B, compute_uv=False)
-    sigma_max = float(sigma[0])
-    sigma_min_pos = float(sigma[sigma > RANK_RTOL * sigma[0]][-1])
-
-    s_nodal = nodal.residuals["stationarity"]
-    s_edge = edge.residuals["stationarity"]
-    slack = 1e-9 * (1.0 + s_nodal + s_edge)
-    consistent = (
-        s_edge <= sigma_max * s_nodal + slack
-        and s_nodal <= s_edge / sigma_min_pos + slack
-    )
-
-    return CrossCoordinateReport(
-        nodal=nodal,
-        edge=edge,
-        both_accept=nodal.accepted(tol) and edge.accepted(tol),
-        both_reject=not nodal.accepted(tol) and not edge.accepted(tol),
-        stationarity_consistent=consistent,
-        sigma_max=sigma_max,
-        sigma_min_pos=sigma_min_pos,
     )

@@ -37,15 +37,13 @@ from .problem import (
     violation,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
+from .verify import FINAL_RESIDUAL_TOL, OMEGA_AGREEMENT_TOL
 
 # A node counts as saturated in reports when its injection ends within
 # this distance of a limit. Looser than the KKT active-set tolerance on
 # purpose: a segment can push a node to within a hair of its limit
 # without the constraint going active in the exact solution.
 SATURATION_TOL = 2e-3
-
-OMEGA_AGREEMENT_TOL = 1e-3
-RESIDUAL_AGREEMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ def _segment_report(
     pred = predict(p)
     agreement = (
         abs(metrics.omega_s_estimate - pred.omega_s) < OMEGA_AGREEMENT_TOL
-        and kkt.max_residual < RESIDUAL_AGREEMENT_TOL
+        and kkt.max_residual < FINAL_RESIDUAL_TOL
     )
     return SegmentReport(
         index=k,
@@ -162,8 +160,13 @@ def _write_artifacts(
     labels = trajectories[0].column_labels()
     wide = [",".join(labels)]
     long = ["t,series,value"]
-    for traj in trajectories:
-        for row in traj.rows():
+    for k, traj in enumerate(trajectories):
+        rows = traj.rows()
+        if k + 1 < len(trajectories):
+            # Segments are [t_start, t_stop): the boundary row belongs to
+            # the next segment, which starts from the same state.
+            rows = rows[:-1]
+        for row in rows:
             wide.append(",".join(f"{x:.12g}" for x in row))
             for label, x in zip(labels[1:], row[1:]):
                 long.append(f"{row[0]:.12g},{label},{x:.12g}")

@@ -1,26 +1,27 @@
 """Projected dynamics for the constrained flow problem.
 
-Four right-hand sides share one projected forward-Euler integrator:
+Three systems are one control law seen in three sets of coordinates,
+driven by one rate function and one projected forward-Euler integrator:
 
 * ``networked``: per-node droop plus PI limiting terms; each node only
   needs its own injection, duals, and parameters.
 * ``droop``: the same controller written with unscaled integrator states
   mu = sqrt(k_I) * lambda and raw integral gains k_I.
 * ``edge_pd``: primal-dual gradient flow of the problem in edge
-  coordinates eta = V B^T theta.
-* ``node_pd``: primal-dual flow of the augmented Lagrangian in nodal
-  coordinates; its dual terms enter through L, so it is not local. Kept
-  for comparison experiments only.
+  coordinates eta = V B^T theta; its rate is V B^T applied to the same
+  nodal law.
 
 Dual multipliers evolve inside the nonnegative orthant via the tangent
-cone projection. The integrator uses the clamp form
-max(0, lambda + h * rate), which coincides with Euler on the projected
-rate: when lambda > 0 the projection is inactive, and when lambda = 0
-both updates produce max(0, h * rate).
+cone projection, which :func:`rhs` applies. The integrator uses the
+clamp form max(0, lambda + h * rate) on the unprojected rate instead,
+which coincides with Euler on the projected rate: when lambda > 0 the
+projection is inactive, and when lambda = 0 both updates produce
+max(0, h * rate).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,160 +70,78 @@ def zero_state(p: FlowProblem, coords: str = "nodal") -> PrimalDualState:
     return PrimalDualState(np.zeros(dim), np.zeros(p.n), np.zeros(p.n))
 
 
-def tangent_project(x, v):
-    """Projection of rate v onto the tangent cone of [0, inf) at x.
-
-    Returns v where x > 0 and max(v, 0) where x = 0; elementwise on
-    arrays. Negative x violates the contract and raises.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("tangent_project requires x >= 0")
-    out = np.where(x > 0, v, np.maximum(v, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # integrator-internal tangent_project; x >= 0 is maintained by the clamp
-    return np.where(x > 0, v, np.maximum(v, 0.0))
-
-
-def _nodal_frequency(p: FlowProblem, inj, lam_lo, lam_hi, dual_scale) -> np.ndarray:
-    # Common frequency law: droop term, proportional limiting terms, and
-    # the integral correction. dual_scale is sqrt(k_I) for lambda duals
-    # and 1 for mu duals.
-    return (
-        p.m * (p.p_star - inj)
-        - p.k_p * _relu(inj - p.p_hi)
-        + p.k_p * _relu(p.p_lo - inj)
-        - dual_scale * (lam_hi - lam_lo)
-    )
-
-
-# Each core maps (problem, primal, lam_lo, lam_hi) to
-# (dprimal, dlam_lo, dlam_hi, omega, injections); omega and the
-# injections fall out of the computation for free and are recorded at
-# sample instants.
-
-
-def _networked_core(p: FlowProblem, primal, lam_lo, lam_hi):
-    inj = p.transform.L @ primal + p.p_load
-    sqrt_ki = p.sqrt_k_i
-    dtheta = _nodal_frequency(p, inj, lam_lo, lam_hi, sqrt_ki)
-    dlam_lo = _tangent(lam_lo, sqrt_ki * (p.p_lo - inj))
-    dlam_hi = _tangent(lam_hi, sqrt_ki * (inj - p.p_hi))
-    return dtheta, dlam_lo, dlam_hi, dtheta, inj
-
-
-def _droop_core(p: FlowProblem, primal, mu_lo, mu_hi):
-    inj = p.transform.L @ primal + p.p_load
-    dtheta = _nodal_frequency(p, inj, mu_lo, mu_hi, 1.0)
-    dmu_lo = _tangent(mu_lo, p.k_i * (p.p_lo - inj))
-    dmu_hi = _tangent(mu_hi, p.k_i * (inj - p.p_hi))
-    return dtheta, dmu_lo, dmu_hi, dtheta, inj
-
-
-def _edge_pd_core(p: FlowProblem, primal, lam_lo, lam_hi):
-    t = p.transform
-    inj = t.B @ (t.V @ primal) + p.p_load
-    sqrt_ki = p.sqrt_k_i
-    omega = _nodal_frequency(p, inj, lam_lo, lam_hi, sqrt_ki)
-    deta = t.V @ (t.B.T @ omega)
-    dlam_lo = _tangent(lam_lo, sqrt_ki * (p.p_lo - inj))
-    dlam_hi = _tangent(lam_hi, sqrt_ki * (inj - p.p_hi))
-    return deta, dlam_lo, dlam_hi, omega, inj
-
-
-def _node_pd_core(p: FlowProblem, primal, lam_lo, lam_hi, rho: float = 1.0):
-    L = p.transform.L
-    inj = L @ primal + p.p_load
-    dtheta = -(
-        L
-        @ (
-            p.m * (inj - p.p_star)
-            + rho * _relu(inj - p.p_hi)
-            + lam_hi
-            - rho * _relu(p.p_lo - inj)
-            - lam_lo
-        )
-    )
-    dlam_lo = _tangent(lam_lo, p.p_lo - inj)
-    dlam_hi = _tangent(lam_hi, inj - p.p_hi)
-    return dtheta, dlam_lo, dlam_hi, dtheta, inj
-
-
-def networked_rhs(p: FlowProblem, s: PrimalDualState):
-    """Networked dynamics: local droop/PI law at every node.
-
-    Returns (dtheta, dlambda_lo, dlambda_hi, omega, injections); omega
-    is the primal right-hand side itself. Each node's rates depend only
-    on its own injection, duals, and parameters.
-    """
-    return _networked_core(p, s.primal, s.lambda_lo, s.lambda_hi)
-
-
-def droop_rhs(p: FlowProblem, s: PrimalDualState):
-    """Power-limiting droop control with unscaled integrator states mu.
-
-    Identical to the networked dynamics after the change of variables
-    mu = sqrt(k_I) * lambda, which also rescales the dual rates from
-    sqrt(k_I) to k_I by the scaled scalar projection identity.
-    """
-    return _droop_core(p, s.primal, s.lambda_lo, s.lambda_hi)
-
-
-def edge_pd_rhs(p: FlowProblem, s: PrimalDualState):
-    """Primal-dual gradient dynamics of the edge-coordinate problem.
-
-    The primal rate is V B^T applied to the same nodal field as the
-    networked dynamics, evaluated at injections B V eta + P_L; the
-    reported omega is that inner nodal vector, so deta always lies in
-    Im(V B^T).
-    """
-    return _edge_pd_core(p, s.primal, s.lambda_lo, s.lambda_hi)
-
-
-def node_pd_rhs(p: FlowProblem, s: PrimalDualState, rho: float = 1.0):
-    """Primal-dual flow of the augmented Lagrangian in nodal coordinates.
-
-    The dual terms enter the primal rate through L, so implementing this
-    flow requires exchanging multipliers between nodes; it is included
-    as a comparison artifact. Every primal term is premultiplied by L,
-    hence 1^T dtheta = 0 for all states.
-    """
-    return _node_pd_core(p, s.primal, s.lambda_lo, s.lambda_hi, rho)
-
-
 @dataclass(frozen=True)
 class System:
-    """A right-hand side plus the bookkeeping the integrator needs."""
+    """One coordinate form of the limiting controller.
+
+    ``coords`` picks the primal variable (nodal angles theta or edge
+    coordinates eta); ``dual_kind`` picks the integrator states (scaled
+    lambda or unscaled mu = sqrt(k_I) * lambda).
+    """
 
     name: str
     coords: str  # "nodal" or "edge"
     dual_kind: str  # "lambda" or "mu"
-    core: Callable
 
 
-NETWORKED = System("networked", "nodal", "lambda", _networked_core)
-DROOP = System("droop", "nodal", "mu", _droop_core)
-EDGE_PD = System("edge_pd", "edge", "lambda", _edge_pd_core)
+NETWORKED = System("networked", "nodal", "lambda")
+DROOP = System("droop", "nodal", "mu")
+EDGE_PD = System("edge_pd", "edge", "lambda")
 
 
-def node_pd_system(rho: float = 1.0) -> System:
-    def core(p, primal, lam_lo, lam_hi):
-        return _node_pd_core(p, primal, lam_lo, lam_hi, rho)
+def _rates(system: System, p: FlowProblem, primal, lam_lo, lam_hi):
+    # Returns (dprimal, dlam_lo, dlam_hi, omega, injections) with the
+    # dual rates not yet projected; the integrator's clamp does that.
+    # The two limiting terms -k_p [P - P_hi]_+ + k_p [P_lo - P]_+ are
+    # the single k_p (clip(P, P_lo, P_hi) - P).
+    t = p.transform
+    if system.coords == "nodal":
+        inj = t.L @ primal + p.p_load
+    else:
+        sqrt_w = t.V.diagonal()
+        inj = t.B @ (sqrt_w * primal) + p.p_load
+    if system.dual_kind == "lambda":
+        scale = gain = p.sqrt_k_i
+    else:
+        scale, gain = 1.0, p.k_i
+    omega = (
+        p.m * (p.p_star - inj)
+        + p.k_p * (inj.clip(p.p_lo, p.p_hi) - inj)
+        - scale * (lam_hi - lam_lo)
+    )
+    dprimal = omega if system.coords == "nodal" else sqrt_w * (t.B.T @ omega)
+    return dprimal, gain * (p.p_lo - inj), gain * (inj - p.p_hi), omega, inj
 
-    return System("node_pd", "nodal", "lambda", core)
+
+def rhs(system: System, p: FlowProblem, s: PrimalDualState):
+    """Right-hand side (dprimal, ddual_lo, ddual_hi, omega, injections).
+
+    The dual rates are projected onto the tangent cone of the
+    nonnegative orthant: unchanged where the dual is positive, clipped
+    at zero from below where it is zero. omega is the nodal frequency;
+    for nodal coordinates it is the primal rate itself.
+    """
+    dprimal, dlo, dhi, omega, inj = _rates(system, p, s.primal, s.lambda_lo, s.lambda_hi)
+    dlo = np.where(s.lambda_lo > 0, dlo, np.maximum(dlo, 0.0))
+    dhi = np.where(s.lambda_hi > 0, dhi, np.maximum(dhi, 0.0))
+    return dprimal, dlo, dhi, omega, inj
 
 
-NODE_PD = node_pd_system()
+def networked_rhs(p: FlowProblem, s: PrimalDualState):
+    """Networked dynamics: each node's rates use only its own injection,
+    duals and parameters."""
+    return rhs(NETWORKED, p, s)
 
-SYSTEMS = {s.name: s for s in (NETWORKED, DROOP, EDGE_PD, NODE_PD)}
+
+def droop_rhs(p: FlowProblem, s: PrimalDualState):
+    """Droop control with unscaled integrator states mu = sqrt(k_I) * lambda."""
+    return rhs(DROOP, p, s)
+
+
+def edge_pd_rhs(p: FlowProblem, s: PrimalDualState):
+    """Edge-coordinate primal-dual flow: deta = V B^T omega at injections
+    B V eta + P_L, so deta always lies in Im(V B^T)."""
+    return rhs(EDGE_PD, p, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,26 +197,6 @@ class Trajectory:
             ]
         )
 
-    def to_csv(self, path) -> None:
-        """Wide-format CSV, floats at 12 significant digits."""
-        lines = [",".join(self.column_labels())]
-        for row in self.rows():
-            lines.append(",".join(f"{x:.12g}" for x in row))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
-    def to_long_csv(self, path) -> None:
-        """Plot-ready long format: one (t, series, value) row per entry."""
-        labels = self.column_labels()[1:]
-        rows = self.rows()
-        lines = ["t,series,value"]
-        for k in range(self.n_samples):
-            t = self.times[k]
-            for label, x in zip(labels, rows[k, 1:]):
-                lines.append(f"{t:.12g},{label},{x:.12g}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
 
 def integrate(
     system: System,
@@ -321,12 +220,13 @@ def integrate(
     their order advantage, and the clamp preserves the dual constraint
     set exactly.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"horizon t_end must be finite, got {t_end}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n_steps = max(1, int(round(t_end / h)))
-    core = system.core
 
     primal = s0.primal.copy()
     lam_lo = s0.lambda_lo.copy()
@@ -350,7 +250,7 @@ def integrate(
     guard_every = min(check_every, 250)
     k = 0
     while k < n_steps:
-        dprimal, dlam_lo, dlam_hi, omega, inj = core(p, primal, lam_lo, lam_hi)
+        dprimal, dlam_lo, dlam_hi, omega, inj = _rates(system, p, primal, lam_lo, lam_hi)
         if k % sample_every == 0:
             record(k, omega, inj)
         primal = primal + h * dprimal
@@ -369,7 +269,7 @@ def integrate(
         ):
             break
 
-    final = core(p, primal, lam_lo, lam_hi)
+    final = _rates(system, p, primal, lam_lo, lam_hi)
     record(k, final[3], final[4])
 
     return Trajectory(

@@ -26,6 +26,7 @@ from .dynamics import (
     EDGE_PD,
     DROOP,
     NETWORKED,
+    SPREAD_TOL,
     PrimalDualState,
     SyncMetrics,
     Trajectory,
@@ -42,7 +43,6 @@ from .problem import FlowProblem, KKTPoint, kkt_residual_nodal, violation
 ORACLE_RESIDUAL_TOL = 1e-8
 FINAL_RESIDUAL_TOL = 1e-4
 FINAL_VIOLATION_TOL = 1e-5
-SPREAD_TOL = 1e-4
 OMEGA_AGREEMENT_TOL = 1e-3
 FIELD_GAP_TOL = 1e-6
 KERNEL_DRIFT_TOL = 1e-8

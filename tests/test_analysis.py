@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from droopflow import (
-    edge_split,
-    predict,
-    reduced_quadratic,
-    solve,
-    verify_cross_coordinates,
-)
+from droopflow import edge_split, predict, solve
 from droopflow.instances import (
     random_cyclic_graph,
     random_problem,
@@ -123,50 +117,3 @@ def test_edge_split_orthonormal_and_reconstructs(rng):
         rebuilt = g @ np.diag(split.eigenvalues) @ g.T
         assert np.linalg.norm(rebuilt - hessian) < 1e-10
         assert np.linalg.norm(hessian @ split.gamma_zero) < 1e-10
-
-
-def test_reduced_quadratic_matches_edge_objective(rng):
-    p = random_problem(rng, graph=random_cyclic_graph(rng, 5))
-    split = edge_split(p)
-    h, c = reduced_quadratic(p, split)
-    t = p.transform
-
-    def f(eta):
-        p_net = t.B @ (t.V @ eta)
-        return 0.5 * p_net @ (p.m * p_net) + (p.p_load - p.p_star) @ (p.m * p_net)
-
-    r = split.gamma_plus.shape[1]
-    z_dim = split.gamma_zero.shape[1]
-    assert h.shape == (r, r)
-    assert np.allclose(h, np.diag(np.diag(h)))  # diagonal by construction
-    for _ in range(10):
-        y = rng.normal(size=r)
-        z = rng.normal(size=z_dim)
-        eta = split.gamma_plus @ y + split.gamma_zero @ z
-        assert f(eta) == pytest.approx(0.5 * y @ h @ y + c @ y, abs=1e-10)
-        assert f(eta) == pytest.approx(f(split.gamma_plus @ y), abs=1e-10)
-
-
-def test_cross_coordinates_accepts_oracle_point(rng):
-    for p in (example_e(), random_problem(rng)):
-        sol = solve(p)
-        report = verify_cross_coordinates(p, sol.theta, sol.lambda_lo, sol.lambda_hi)
-        assert report.both_accept
-        assert not report.both_reject
-        assert report.stationarity_consistent
-        assert report.sigma_max >= report.sigma_min_pos > 0
-
-        shifted = verify_cross_coordinates(
-            p, sol.theta + 3.0, sol.lambda_lo, sol.lambda_hi
-        )
-        assert shifted.both_accept  # consensus shifts change nothing
-
-
-def test_cross_coordinates_rejects_bad_point(rng):
-    p = random_problem(rng)
-    theta = rng.normal(size=p.n)
-    lam = np.abs(rng.normal(size=p.n)) + 0.5
-    report = verify_cross_coordinates(p, theta, lam, lam)
-    assert report.both_reject
-    assert not report.both_accept
-    assert report.stationarity_consistent

@@ -14,10 +14,8 @@ from droopflow import (
     integrate,
     injections,
     networked_rhs,
-    node_pd_system,
     solve,
     sync_metrics,
-    tangent_project,
     to_edge_coords,
     zero_state,
 )
@@ -38,27 +36,6 @@ def path_problem(n=4):
         p_hi=np.ones(n),
         m=np.linspace(0.8, 1.2, n),
     )
-
-
-def test_tangent_project_scalars_and_arrays():
-    assert tangent_project(0.0, -3.0) == 0.0
-    assert tangent_project(2.0, -3.0) == -3.0
-    assert tangent_project(0.0, 5.0) == 5.0
-    out = tangent_project(np.array([0.0, 1.0, 0.0]), np.array([-1.0, -1.0, 2.0]))
-    assert np.array_equal(out, [0.0, -1.0, 2.0])
-
-
-def test_tangent_project_commutes_with_positive_scaling(rng):
-    x = np.abs(rng.normal(size=50))
-    x[::3] = 0.0
-    v = rng.normal(size=50)
-    for a in (0.5, 2.0, 7.25):
-        assert np.array_equal(a * tangent_project(x, v), tangent_project(x, a * v))
-
-
-def test_tangent_project_rejects_negative_base():
-    with pytest.raises(ValueError):
-        tangent_project(np.array([0.0, -1e-12]), np.zeros(2))
 
 
 def test_interior_reduction_to_pure_droop():
@@ -169,22 +146,6 @@ def test_edge_field_is_pushforward_of_nodal_field(rng):
     assert np.allclose(dhi_e, dhi_n, atol=1e-12)
 
 
-def test_node_pd_structure(rng):
-    p = random_problem(rng)
-    theta = rng.normal(size=p.n)
-    s = PrimalDualState(theta, np.zeros(p.n), np.zeros(p.n))
-    sys0 = node_pd_system(rho=0.0)
-    dtheta, dlo, dhi, _, inj = sys0.core(p, s.primal, s.lambda_lo, s.lambda_hi)
-    assert np.array_equal(dtheta, -(p.transform.L @ (p.m * (inj - p.p_star))))
-    assert abs(dtheta.sum()) < 1e-10  # L in front pins the consensus component
-
-    # dual rates carry no gain scaling in this flow
-    lam = np.full(p.n, 0.3)
-    _, dlo, dhi, _, _ = sys0.core(p, s.primal, lam, lam)
-    assert np.array_equal(dlo, p.p_lo - inj)
-    assert np.array_equal(dhi, inj - p.p_hi)
-
-
 def test_integrate_clamps_duals_at_zero():
     p = balanced_two_node()
     s0 = PrimalDualState(np.zeros(2), np.array([0.01, 0.0]), np.zeros(2))
@@ -250,6 +211,9 @@ def test_integrate_rejects_bad_arguments():
         integrate(NETWORKED, p, zero_state(p), h=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         integrate(NETWORKED, p, zero_state(p), h=1e-3, t_end=1.0, sample_every=0)
+    for h, t_end in ((float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("inf"))):
+        with pytest.raises(ValueError, match="h must be|t_end must be"):
+            integrate(NETWORKED, p, zero_state(p), h=h, t_end=t_end)
 
 
 def test_state_rejects_negative_duals():
@@ -266,32 +230,6 @@ def test_edge_kernel_component_conserved_under_integration(rng):
     z0 = split.gamma_zero.T @ eta0
     z_end = split.gamma_zero.T @ traj.primal[-1]
     assert np.all(np.abs(z_end - z0) < 1e-10)
-
-
-def test_wide_csv_round_trip(tmp_path):
-    p = balanced_two_node()
-    traj = integrate(NETWORKED, p, zero_state(p), h=0.1, t_end=0.3)
-    path = tmp_path / "run.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == (
-        "t,theta_0,theta_1,omega_0,omega_1,P_0,P_1,"
-        "lam_lo_0,lam_lo_1,lam_hi_0,lam_hi_1"
-    )
-    assert len(lines) == traj.n_samples + 1
-    parsed = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    assert np.allclose(parsed, traj.rows(), rtol=1e-11, atol=1e-300)
-
-
-def test_long_csv_shape(tmp_path):
-    p = balanced_two_node()
-    traj = integrate(NETWORKED, p, zero_state(p), h=0.1, t_end=0.2)
-    path = tmp_path / "run_long.csv"
-    traj.to_long_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,series,value"
-    assert len(lines) == 1 + traj.n_samples * (len(traj.column_labels()) - 1)
-    assert lines[1].startswith("0,theta_0,")
 
 
 def test_column_labels_follow_coordinates():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import droopflow
-from droopflow import ScenarioError, load_scenario, oracle
+from droopflow import ScenarioError, cli, integrate, load_scenario, oracle
 from droopflow.cli import main, run
 from droopflow.verify import run_suite
 
@@ -137,6 +137,53 @@ def test_cli_simulate_writes_artifacts(tmp_path, capsys):
         assert (out / f"mini_{suffix}").exists()
 
 
+def _recorded_run(tmp_path, monkeypatch):
+    """Run MINI through the CLI path, keeping every segment's trajectory."""
+    trajectories = []
+
+    def recording(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    sc = load_scenario(write_scenario(tmp_path, MINI))
+    return run(sc, out_dir=tmp_path / "out", stem="mini"), trajectories
+
+
+def test_wide_csv_round_trip(tmp_path, monkeypatch):
+    report, trajectories = _recorded_run(tmp_path, monkeypatch)
+    lines = report.csv_path.read_text().strip().split("\n")
+    assert lines[0] == (
+        "t,theta_0,theta_1,omega_0,omega_1,P_0,P_1,"
+        "lam_lo_0,lam_lo_1,lam_hi_0,lam_hi_1"
+    )
+    # each segment but the last hands its boundary row to the next one
+    expected = np.vstack(
+        [t.rows()[:-1] for t in trajectories[:-1]] + [trajectories[-1].rows()]
+    )
+    parsed = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    assert parsed.shape == expected.shape
+    assert np.allclose(parsed, expected, rtol=1e-11, atol=1e-300)
+
+
+def test_long_csv_shape(tmp_path, monkeypatch):
+    report, trajectories = _recorded_run(tmp_path, monkeypatch)
+    wide_rows = len(report.csv_path.read_text().strip().split("\n")) - 1
+    lines = report.long_csv_path.read_text().strip().split("\n")
+    assert lines[0] == "t,series,value"
+    assert len(lines) == 1 + wide_rows * (len(trajectories[0].column_labels()) - 1)
+    assert lines[1].startswith("0,theta_0,")
+
+
+def test_bundled_scenario_csv_has_one_row_per_timestamp(tmp_path):
+    assert main(["simulate", str(BUNDLED), "--out", str(tmp_path)]) == 0
+    wide = np.loadtxt(tmp_path / "nine_bus_trajectory.csv", delimiter=",", skiprows=1)
+    assert len(wide) == 2401  # 0, 0.1, ..., 240 s: no boundary appears twice
+    assert np.all(np.diff(wide[:, 0]) > 0)
+    long_lines = (tmp_path / "nine_bus_trajectory_long.csv").read_text().strip().split("\n")
+    assert len(long_lines) == 1 + 2401 * 15
+
+
 def test_cli_predict_prints_and_appends_csv(tmp_path, capsys):
     path = write_scenario(tmp_path, MINI)
     assert main(["predict", str(path), "--segment", "1"]) == 0
@@ -171,6 +218,10 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["predict", str(path), "--segment", "9"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["simulate", str(path), "--out", str(tmp_path), "--h", "nan"]) == 2
+    assert "step size h" in capsys.readouterr().err
+    assert main(["simulate", str(path), "--out", str(tmp_path), "--t-end", "inf"]) == 2
+    assert "horizon t_end" in capsys.readouterr().err
 
 
 def test_suite_catches_a_corrupted_solver():
