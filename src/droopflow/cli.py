@@ -26,6 +26,7 @@ from .dynamics import (
     IntegrationError,
     SyncMetrics,
     Trajectory,
+    check_time_grid,
     integrate,
     sync_metrics,
 )
@@ -190,12 +191,14 @@ def run(
     """Integrate a scenario segment by segment and report per segment.
 
     The final state of each segment seeds the next, so duals stay
-    nonnegative across boundaries by construction. Divergence in any
-    segment aborts the run and returns the partial report with
-    ``diverged_segment`` set.
+    nonnegative across boundaries by construction. A step or horizon
+    that ``integrate`` would refuse is rejected before the first
+    segment runs. Divergence in any segment aborts the run and returns
+    the partial report with ``diverged_segment`` set.
     """
     h = scenario.h if h is None else h
     t_end_run = scenario.t_end if t_end is None else t_end
+    check_time_grid(h, t_end_run)
 
     state = scenario.initial_state
     trajectories: list[Trajectory] = []

@@ -107,9 +107,17 @@ def validate(p: FlowProblem) -> ValidationReport:
     Assumption 1 (feasible injection limits and disturbances) requires
     P_l,i < P_u,i for every node and sum(P_l) < sum(P_L) < sum(P_u);
     assumption 2 (feasible references) requires P_l,i < P*_i < P_u,i.
-    Together they certify existence of a strictly feasible theta.
+    Together they certify existence of a strictly feasible theta. NaN or
+    infinite setpoints, loads or limits are reported first, by node, and
+    the assumptions are not evaluated on them.
     """
     violations: list[str] = []
+    for name in ("p_star", "p_load", "p_lo", "p_hi"):
+        bad = np.flatnonzero(~np.isfinite(getattr(p, name))).tolist()
+        if bad:
+            violations.append(f"{name}: NaN or infinite at nodes {bad}")
+    if violations:
+        return ValidationReport(passed=False, violations=tuple(violations))
     bad = np.flatnonzero(p.p_lo >= p.p_hi).tolist()
     if bad:
         violations.append(f"limits: p_lo < p_hi violated at nodes {bad}")

@@ -27,11 +27,14 @@ Every load segment must yield a valid flow problem (limits ordered,
 setpoints interior, total load strictly between the limit sums); a
 violating segment is rejected at load time with its index, because a
 schedule that breaks the standing assumptions mid-run would otherwise
-fail far from the place that caused it.
+fail far from the place that caused it. Every number must be finite,
+counts must be integers, and ``base_power`` and ``h`` must be positive;
+a value that breaks this is rejected with its line number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,7 +105,15 @@ def _floats(value: str, lineno: int, key: str, count: int | None = None) -> list
     return xs
 
 
-def _scalar(entries: list[tuple[int, str]], section: str, key: str, default=None):
+def _scalar(
+    entries: list[tuple[int, str]],
+    section: str,
+    key: str,
+    default=None,
+    integer: bool = False,
+    positive: bool = False,
+):
+    """The key's one finite value; ``integer`` and ``positive`` add checks."""
     if not entries:
         if default is None:
             raise ScenarioError(f"[{section}] is missing required key '{key}'")
@@ -111,7 +122,14 @@ def _scalar(entries: list[tuple[int, str]], section: str, key: str, default=None
         lines = ", ".join(str(ln) for ln, _ in entries)
         raise ScenarioError(f"'{key}' given more than once (lines {lines})")
     lineno, value = entries[0]
-    return _floats(value, lineno, key, 1)[0]
+    x = _floats(value, lineno, key, 1)[0]
+    if not math.isfinite(x):
+        raise ScenarioError(f"line {lineno}: '{key}' must be finite, got {value!r}")
+    if integer and x != int(x):
+        raise ScenarioError(f"line {lineno}: '{key}' must be an integer, got {value!r}")
+    if positive and not x > 0:
+        raise ScenarioError(f"line {lineno}: '{key}' must be positive, got {value!r}")
+    return int(x) if integer else x
 
 
 def load_scenario(path) -> Scenario:
@@ -145,7 +163,7 @@ def load_scenario(path) -> Scenario:
     def entries(section: str, key: str) -> list[tuple[int, str]]:
         return by_key.pop((section, key), [])
 
-    n = int(_scalar(entries("graph", "nodes"), "graph", "nodes"))
+    n = _scalar(entries("graph", "nodes"), "graph", "nodes", integer=True)
     edges = []
     weights = []
     for lineno, value in entries("graph", "edge"):
@@ -159,7 +177,9 @@ def load_scenario(path) -> Scenario:
     except ValueError as e:
         raise ScenarioError(f"[graph]: {e}") from e
 
-    base_power = _scalar(entries("converters", "base_power"), "converters", "base_power")
+    base_power = _scalar(
+        entries("converters", "base_power"), "converters", "base_power", positive=True
+    )
     rows = [
         _floats(value, lineno, "node", 6) for lineno, value in entries("converters", "node")
     ]
@@ -170,6 +190,8 @@ def load_scenario(path) -> Scenario:
     schedule: list[tuple[float, np.ndarray]] = []
     for lineno, value in entries("schedule", "segment"):
         xs = _floats(value, lineno, "segment", n + 1)
+        if not math.isfinite(xs[0]):
+            raise ScenarioError(f"line {lineno}: segment start must be finite, got {xs[0]}")
         schedule.append((xs[0], np.asarray(xs[1:])))
     if not schedule:
         raise ScenarioError("[schedule] must contain at least one segment")
@@ -179,13 +201,12 @@ def load_scenario(path) -> Scenario:
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ScenarioError(f"segment start times must be strictly increasing: {starts}")
 
-    h = _scalar(entries("sim", "h"), "sim", "h", default=1e-3)
+    h = _scalar(entries("sim", "h"), "sim", "h", default=1e-3, positive=True)
     t_end = _scalar(entries("sim", "t_end"), "sim", "t_end")
-    sample_every = int(_scalar(entries("sim", "sample_every"), "sim", "sample_every", default=1))
-    if h <= 0:
-        raise ScenarioError("h must be positive")
-    if sample_every < 1:
-        raise ScenarioError("sample_every must be >= 1")
+    sample_every = _scalar(
+        entries("sim", "sample_every"), "sim", "sample_every", default=1,
+        integer=True, positive=True,
+    )
     if t_end <= starts[-1]:
         raise ScenarioError(
             f"t_end = {t_end:g} leaves no time for the last segment (starts at {starts[-1]:g})"
@@ -198,7 +219,11 @@ def load_scenario(path) -> Scenario:
         if len(rows) > 1:
             raise ScenarioError(f"'{key}' given more than once")
         lineno, value = rows[0]
-        return np.asarray(_floats(value, lineno, key, n))
+        x = np.asarray(_floats(value, lineno, key, n))
+        bad = np.flatnonzero(~np.isfinite(x)).tolist()
+        if bad:
+            raise ScenarioError(f"line {lineno}: '{key}' is NaN or infinite at nodes {bad}")
+        return x
 
     try:
         state0 = PrimalDualState(initial("theta0"), initial("lambda_lo0"), initial("lambda_hi0"))

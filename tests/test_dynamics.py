@@ -14,6 +14,7 @@ from droopflow import (
     integrate,
     injections,
     networked_rhs,
+    rhs,
     solve,
     sync_metrics,
     to_edge_coords,
@@ -205,15 +206,62 @@ def test_integrate_stop_when_truncates():
     assert traj.n_samples == 11
 
 
+def test_integrate_long_horizon_cut_short_keeps_every_sample():
+    p = balanced_two_node()
+    s0 = PrimalDualState(np.array([0.3, -0.2]), np.array([0.1, 0.0]), np.zeros(2))
+    # a horizon whose full sample grid could never be held in memory
+    cut = integrate(
+        NETWORKED, p, s0, h=1e-3, t_end=1e9,
+        stop_when=lambda p, s, t: t >= 3.0, check_every=500,
+    )
+    full = integrate(NETWORKED, p, s0, h=1e-3, t_end=3.0)
+    coarse = integrate(NETWORKED, p, s0, h=1e-3, t_end=3.0, sample_every=1000)
+    assert cut.n_samples == full.n_samples == 3001
+    for name in ("times", "primal", "lambda_lo", "lambda_hi", "omega", "injections"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)), name
+        assert np.array_equal(getattr(full, name)[::1000], getattr(coarse, name)), name
+
+
 def test_integrate_rejects_bad_arguments():
     p = balanced_two_node()
     with pytest.raises(ValueError):
         integrate(NETWORKED, p, zero_state(p), h=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         integrate(NETWORKED, p, zero_state(p), h=1e-3, t_end=1.0, sample_every=0)
+    with pytest.raises(ValueError, match="check_every"):
+        integrate(NETWORKED, p, zero_state(p), h=1e-3, t_end=1.0, check_every=0)
     for h, t_end in ((float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("inf"))):
         with pytest.raises(ValueError, match="h must be|t_end must be"):
             integrate(NETWORKED, p, zero_state(p), h=h, t_end=t_end)
+
+
+@pytest.mark.parametrize("system", [NETWORKED, DROOP, EDGE_PD], ids=lambda s: s.name)
+def test_one_integrate_step_is_euler_on_rhs(rng, system):
+    # States beyond each limit with about a third of the duals at exactly
+    # zero, where the limiting terms and the dual clamp are live.
+    h = 1e-3
+    for _ in range(40):
+        p = random_problem(rng)
+        theta = rng.normal(0.0, 0.6, p.n)
+        lo, hi = (np.abs(rng.normal(0.0, 0.5, p.n)) * (rng.random(p.n) >= 0.35) for _ in range(2))
+        primal = theta if system.coords == "nodal" else to_edge_coords(p.transform, theta)
+        s0 = PrimalDualState(primal, lo, hi)
+        before = [x.copy() for x in (s0.primal, s0.lambda_lo, s0.lambda_hi)]
+        dprimal, dlo, dhi, omega, inj = rhs(system, p, s0)
+        traj = integrate(system, p, s0, h=h, t_end=h)
+
+        assert traj.n_samples == 2
+        for got, want in (
+            (traj.primal[1], primal + h * dprimal),
+            (traj.lambda_lo[1], np.maximum(lo + h * dlo, 0.0)),
+            (traj.lambda_hi[1], np.maximum(hi + h * dhi, 0.0)),
+            (traj.omega[0], omega),
+            (traj.injections[0], inj),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # the loop updates its own buffers in place, never the caller's
+        for x, y in zip((s0.primal, s0.lambda_lo, s0.lambda_hi), before):
+            assert np.array_equal(x, y)
 
 
 def test_state_rejects_negative_duals():

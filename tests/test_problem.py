@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopflow import (
     DEFAULT_KKT_TOL,
@@ -241,3 +243,23 @@ def test_validation_report_string_lists_conditions():
     assert not report.passed
     text = str(report)
     assert "load" in text or "sum" in text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["p_star", "p_load", "p_lo", "p_hi"]),
+    node=st.integers(0, 2),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+def test_validate_names_nonfinite_data_by_node(field, node, value):
+    data = {
+        "p_star": np.zeros(3),
+        "p_load": np.array([0.2, -0.1, 0.0]),
+        "p_lo": -np.ones(3),
+        "p_hi": np.ones(3),
+    }
+    data[field][node] = value
+    p = make_problem(triangle_graph(), m=np.ones(3), **data)
+    report = validate(p)
+    assert not report.passed
+    assert report.violations == (f"{field}: NaN or infinite at nodes [{node}]",)

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import droopflow
 from droopflow import ScenarioError, cli, integrate, load_scenario, oracle
@@ -78,6 +82,24 @@ def test_bundled_scenario_parses():
         (lambda s: "nodes = 2\n" + s, "before any"),
         (lambda s: s.replace("t_end = 60\n", ""), "missing required key"),
         (lambda s: s.replace("edge = 0 1 2.0", "edge = 0 1 2.0\nedge = 1 0 1.0"), "graph"),
+        (lambda s: s.replace("nodes = 2", "nodes = 2.7"), "line 3: 'nodes' must be an integer"),
+        (
+            lambda s: s.replace("sample_every = 20", "sample_every = 2.5"),
+            "line 19: 'sample_every' must be an integer",
+        ),
+        (
+            lambda s: s.replace("sample_every = 20", "sample_every = 0"),
+            "line 19: 'sample_every' must be positive",
+        ),
+        (
+            lambda s: s.replace("base_power = 10", "base_power = -1"),
+            "line 7: 'base_power' must be positive",
+        ),
+        (
+            lambda s: s.replace("segment = 20 ", "segment = nan "),
+            "line 13: segment start must be finite",
+        ),
+        (lambda s: s + "theta0 = 0.0 inf\n", "line 20: 'theta0' is NaN or infinite"),
     ],
 )
 def test_rejects_malformed_scenarios(tmp_path, mangle, message):
@@ -238,3 +260,69 @@ def test_suite_catches_a_corrupted_solver():
     assert {"oracle_kkt", "dynamics_convergence"} <= failing
     # batteries that never touch the solver stay green
     assert "edge_kernel_conservation" not in failing
+
+
+NONFINITE = st.sampled_from(["nan", "inf", "-inf"])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("nonfinite")
+
+
+def _main_err(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _with_token(text, line, token, value):
+    # replace whitespace-separated token `token` of 1-based line `line`
+    lines = text.splitlines()
+    tokens = lines[line - 1].split()
+    tokens[token] = value
+    lines[line - 1] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(["p_star", "p_lo", "p_hi", "p_load"]),
+    node=st.integers(0, 1),
+    value=NONFINITE,
+)
+def test_predict_rejects_nonfinite_problem_data(scratch, field, node, value):
+    if field == "p_load":  # segment = 0  P_L_0 P_L_1 (line 12)
+        text = _with_token(MINI, 12, 3 + node, value)
+    else:  # node = p_star p_lo p_hi m k_p k_i (lines 8 and 9)
+        col = ("p_star", "p_lo", "p_hi").index(field)
+        text = _with_token(MINI, 8 + node, 2 + col, value)
+    path = write_scenario(scratch, text)
+    code, err = _main_err(["predict", str(path)])
+    assert code == 2
+    assert f"{field}: NaN or infinite at nodes [{node}]" in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(["h", "t_end", "base_power"]), value=NONFINITE)
+def test_load_rejects_nonfinite_scalars_with_line(scratch, key, value):
+    lineno = {"base_power": 7, "h": 17, "t_end": 18}[key]
+    path = write_scenario(scratch, _with_token(MINI, lineno, 2, value))
+    with pytest.raises(ScenarioError, match=f"line {lineno}: '{key}' must be finite"):
+        load_scenario(path)
+    code, err = _main_err(["predict", str(path)])
+    assert code == 2 and f"line {lineno}" in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag=st.sampled_from(["--h", "--t-end"]), value=NONFINITE)
+def test_simulate_rejects_nonfinite_overrides_before_integrating(scratch, flag, value):
+    path = write_scenario(scratch, MINI)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+        code, err = _main_err(["simulate", str(path), "--out", str(scratch), f"{flag}={value}"])
+    assert code == 2
+    assert ("step size h" if flag == "--h" else "horizon t_end") in err
+    assert calls == []
