@@ -35,7 +35,6 @@ from .graph import (
     EdgeTransform,
     NetworkGraph,
     build_transform,
-    is_tree,
     project_off_consensus,
     to_edge_coords,
 )
@@ -51,7 +50,6 @@ from .problem import (
     injections,
     kkt_residual_edge,
     kkt_residual_nodal,
-    objective_nodal,
     validate,
     violation,
 )
@@ -90,12 +88,10 @@ __all__ = [
     "edge_split",
     "injections",
     "integrate",
-    "is_tree",
     "kkt_residual_edge",
     "kkt_residual_nodal",
     "load_scenario",
     "networked_rhs",
-    "objective_nodal",
     "predict",
     "project_off_consensus",
     "recover_theta",

@@ -121,7 +121,8 @@ def edge_split(p: FlowProblem) -> EdgeSplit:
     decomposition went numerically wrong and raises.
     """
     t = p.transform
-    hessian = t.V @ (t.B.T @ ((p.m[:, None]) * t.B)) @ t.V
+    v = t.sqrt_w
+    hessian = v[:, None] * (t.B.T @ ((p.m[:, None]) * t.B)) * v
     w, u = np.linalg.eigh(hessian)
     zero = w < RANK_RTOL * w[-1]
     n_zero = int(zero.sum())

@@ -145,19 +145,24 @@ def _kernel(system: System, p: FlowProblem, s: PrimalDualState):
     prod = np.empty_like(coef)
     rates = np.empty((3, n))
     inj = np.empty(n)
+    flow = np.empty_like(primal)
     t = p.transform
-    L, B, sqrt_w = t.L, t.B, t.V.diagonal()
     # Bound to locals: evaluate() runs once per Euler step.
+    L, tail, head, sqrt_w = t.L, t.tail, t.head, t.sqrt_w
     p_load, p_star, p_lo, p_hi = p.p_load, p.p_star, p.p_lo, p.p_hi
     matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
     maximum, minimum, reduce = np.maximum, np.minimum, np.add.reduce
+    bincount = np.bincount
 
     def evaluate() -> None:
-        # P = L theta + P_L is the product problem.injections uses.
+        # P = L theta + P_L is the product problem.injections uses; in
+        # edge coordinates B (V eta) scatters each edge flow onto its
+        # tail (+) and head (-).
         if nodal:
             matmul(L, primal, out=inj)
         else:
-            matmul(B, sqrt_w * primal, out=inj)
+            multiply(sqrt_w, primal, out=flow)
+            subtract(bincount(tail, flow, n), bincount(head, flow, n), out=inj)
         add(inj, p_load, out=inj)
         subtract(p_star, inj, out=u)
         maximum(inj, p_lo, out=pen)  # clip(P, P_lo, P_hi), without np.clip's wrapper
@@ -167,12 +172,6 @@ def _kernel(system: System, p: FlowProblem, s: PrimalDualState):
         reduce(prod, axis=1, out=rates)
 
     return buf, primal, rates, inj, evaluate
-
-
-def _edge_rate(p: FlowProblem, omega: np.ndarray) -> np.ndarray:
-    # deta = V B^T omega, with V = diag(sqrt(w)).
-    t = p.transform
-    return t.V.diagonal() * (t.B.T @ omega)
 
 
 def rhs(system: System, p: FlowProblem, s: PrimalDualState):
@@ -187,7 +186,11 @@ def rhs(system: System, p: FlowProblem, s: PrimalDualState):
     _, _, rates, inj, evaluate = _kernel(system, p, s)
     evaluate()
     omega, dlo, dhi = rates
-    dprimal = omega if system.coords == "nodal" else _edge_rate(p, omega)
+    if system.coords == "nodal":
+        dprimal = omega
+    else:  # deta = V B^T omega, with V = diag(sqrt(w))
+        t = p.transform
+        dprimal = t.sqrt_w * (omega[t.tail] - omega[t.head])
     dlo = np.where(s.lambda_lo > 0, dlo, np.maximum(dlo, 0.0))
     dhi = np.where(s.lambda_hi > 0, dhi, np.maximum(dhi, 0.0))
     return dprimal, dlo, dhi, omega, inj
@@ -265,12 +268,12 @@ class Trajectory:
 
 
 def check_time_grid(h: float, t_end: float) -> None:
-    """Reject a step that is not finite and positive, or a horizon that is
-    not finite, with a ValueError naming the argument."""
+    """Reject a step or a horizon that is not finite and positive, with a
+    ValueError naming the argument."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and positive, got {h}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"horizon t_end must be finite, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"horizon t_end must be finite and positive, got {t_end}")
 
 
 def integrate(
@@ -311,6 +314,8 @@ def integrate(
     lam_lo, lam_hi = duals = buf[-2:]
     floor = np.zeros_like(duals)
     edge = system.coords == "edge"
+    t = p.transform
+    tail, head, sqrt_w = t.tail, t.head, t.sqrt_w
     if edge:
         state, state_rate = duals, rates[1:]
     else:
@@ -344,7 +349,7 @@ def integrate(
             record()
             next_sample += sample_every
         if edge:
-            primal += h * _edge_rate(p, omega)
+            primal += h * (sqrt_w * (omega[tail] - omega[head]))
         state += h * state_rate
         np.maximum(duals, floor, out=duals)
         k += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class NetworkGraph:
         lower index; this fixes the orientation of every edge and makes
         incidence-based outputs deterministic.
     weights : array_like
-        Strictly positive weight per edge (per-unit susceptance in the
+        Finite, strictly positive weight per edge (per-unit susceptance in the
         power application).
     """
 
@@ -62,9 +63,10 @@ class NetworkGraph:
             raise ValueError(
                 f"expected {len(edges)} weights, got shape {weights.shape}"
             )
-        if not np.all(weights > 0):
-            bad = np.flatnonzero(weights <= 0).tolist()
-            raise ValueError(f"nonpositive weight on edges {bad}")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0))).tolist()
+        if bad:
+            listed = ", ".join(f"edge {k} {edges[k]} has weight {weights[k]:g}" for k in bad)
+            raise ValueError(f"edge weights must be finite and positive: {listed}")
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "weights", weights)
         if not _connected(self.n, self.edges):
@@ -96,51 +98,69 @@ def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class EdgeTransform:
-    """Incidence factorization of a graph Laplacian.
+    """Edge index form of the incidence factorization L = B W B^T.
+
+    Products with the incidence B and the weight root V = diag(sqrt(w))
+    are evaluated from the endpoints of each edge, so they cost O(e):
+    ``V B^T x`` is ``sqrt_w * (x[tail] - x[head])`` and ``B y`` scatters
+    ``+y`` onto the tails and ``-y`` onto the heads.
 
     Attributes
     ----------
-    B : ndarray, shape (n, e)
-        Oriented incidence matrix, +1 at the tail (lower index) and -1
-        at the head of each edge.
-    V : ndarray, shape (e, e)
-        Diagonal matrix with entries sqrt(w_e).
+    tail, head : ndarray of intp, shape (e,)
+        Lower and higher endpoint of each edge, in ``g.edges`` order.
+    sqrt_w : ndarray, shape (e,)
+        Square roots of the edge weights, the diagonal of V.
     L : ndarray, shape (n, n)
-        Laplacian L = B W B^T with W = V V.
+        Dense Laplacian L = B W B^T with W = V V.
     """
 
-    B: np.ndarray
-    V: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    sqrt_w: np.ndarray
     L: np.ndarray
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """Dense oriented incidence, shape (n, e): +1 at the tail and -1
+        at the head of each edge. Built once, on first access."""
+        B = _incidence(self.L.shape[0], self.tail, self.head)
+        B.setflags(write=False)
+        return B
+
+
+def _incidence(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    cols = np.arange(len(tail))
+    B = np.zeros((n, len(tail)))
+    B[tail, cols] = 1.0
+    B[head, cols] = -1.0
+    return B
 
 
 def build_transform(g: NetworkGraph) -> EdgeTransform:
-    """Build the incidence matrix, weight root, and Laplacian of ``g``.
+    """Build the edge endpoints, weight root, and Laplacian of ``g``.
 
-    Deterministic for a given edge ordering: column k of B corresponds
-    to g.edges[k] with +1 at the tail and -1 at the head.
+    Deterministic for a given edge ordering: edge k is g.edges[k], with
+    its tail at the lower index. L is formed as the dense product
+    (B W) B^T, whose rounding every nodal trajectory depends on.
     """
-    B = np.zeros((g.n, g.e))
-    for k, (i, j) in enumerate(g.edges):
-        B[i, k] = 1.0
-        B[j, k] = -1.0
-    V = np.diag(np.sqrt(g.weights))
+    ends = np.array(g.edges, dtype=np.intp).T.copy()
+    ends.setflags(write=False)
+    tail, head = ends
+    B = _incidence(g.n, tail, head)
     L = (B * g.weights) @ B.T
-    return EdgeTransform(B=_readonly(B), V=_readonly(V), L=_readonly(L))
+    return EdgeTransform(
+        tail=tail, head=head, sqrt_w=_readonly(np.sqrt(g.weights)), L=_readonly(L)
+    )
 
 
 def to_edge_coords(t: EdgeTransform, theta: np.ndarray) -> np.ndarray:
     """Map nodal angles to weighted edge differences eta = V B^T theta."""
     theta = np.asarray(theta, dtype=float)
-    n = t.B.shape[0]
+    n = t.L.shape[0]
     if theta.shape != (n,):
         raise ValueError(f"expected theta of shape ({n},), got {theta.shape}")
-    return t.V @ (t.B.T @ theta)
-
-
-def is_tree(g: NetworkGraph) -> bool:
-    """True iff the (connected) graph has exactly n - 1 edges."""
-    return g.e == g.n - 1
+    return t.sqrt_w * (theta[t.tail] - theta[t.head])
 
 
 def project_off_consensus(v: np.ndarray) -> np.ndarray:

@@ -120,8 +120,11 @@ def recover_theta(
     """Zero-mean theta with L theta = p_opt - p_load.
 
     Such a theta exists iff the right-hand side is orthogonal to the
-    all-ones vector; the Moore-Penrose solve picks the canonical
-    zero-mean representative out of the shift family theta + c*1.
+    all-ones vector. Grounding node 0 (theta_0 = 0) removes the shift
+    family theta + c*1 and leaves the reduced Laplacian L[1:, 1:], which
+    is nonsingular for a connected graph; subtracting the mean of that
+    solution gives the same zero-mean representative as the
+    Moore-Penrose solve, at the cost of one dense LU instead of an SVD.
     """
     p_opt = np.asarray(p_opt, dtype=float)
     p_load = np.asarray(p_load, dtype=float)
@@ -130,4 +133,6 @@ def recover_theta(
         raise ValueError(
             f"right-hand side not balanced: sum(p_opt - p_load) = {rhs.sum():g}"
         )
-    return np.linalg.pinv(t.L) @ rhs
+    theta = np.zeros(len(rhs))
+    theta[1:] = np.linalg.solve(t.L[1:, 1:], rhs[1:])
+    return theta - theta.mean()

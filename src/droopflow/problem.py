@@ -50,7 +50,7 @@ def _vec(x, n: int, name: str) -> np.ndarray:
 class FlowProblem:
     """One constrained flow problem instance, all quantities per-unit.
 
-    Gains must be strictly positive; the feasibility assumptions on the
+    Gains must be finite and strictly positive; the feasibility assumptions on the
     limits, loads, and setpoints are checked by :func:`validate` so that
     deliberately infeasible instances remain constructible.
     """
@@ -75,6 +75,9 @@ class FlowProblem:
             object.__setattr__(self, name, v)
         for name in ("m", "k_p", "k_i"):
             v = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(v)).tolist()
+            if bad:
+                raise ValueError(f"{name} must be finite, NaN or infinite at nodes {bad}")
             if not np.all(v > 0):
                 bad = np.flatnonzero(v <= 0).tolist()
                 raise ValueError(f"{name} must be strictly positive, offending nodes {bad}")
@@ -147,17 +150,6 @@ def violation(p: FlowProblem, p_net: np.ndarray) -> np.ndarray:
     p_net = _vec(p_net, p.n, "p_net")
     inj = p_net + p.p_load
     return np.concatenate([p.p_lo - inj, inj - p.p_hi])
-
-
-def objective_nodal(p: FlowProblem, theta: np.ndarray) -> float:
-    """Reduced objective (1/2)||L theta||^2_M + (P_L - P*)^T M L theta.
-
-    Differs from (1/2)||P - P*||^2_M by the theta-independent constant
-    (1/2)||P_L - P*||^2_M.
-    """
-    theta = _vec(theta, p.n, "theta")
-    p_net = p.transform.L @ theta
-    return float(0.5 * p_net @ (p.m * p_net) + (p.p_load - p.p_star) @ (p.m * p_net))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +240,13 @@ def kkt_residual_edge(
     optimality condition literally.
     """
     t = p.transform
-    eta = _vec(eta, t.B.shape[1], "eta")
+    eta = _vec(eta, p.graph.e, "eta")
     lambda_lo = _vec(lambda_lo, p.n, "lambda_lo")
     lambda_hi = _vec(lambda_hi, p.n, "lambda_hi")
-    p_net = t.B @ (t.V @ eta)
+    flow = t.sqrt_w * eta
+    p_net = np.bincount(t.tail, flow, p.n) - np.bincount(t.head, flow, p.n)
     s = _stationarity_vector(p, p_net, lambda_lo, lambda_hi)
-    stationarity = float(np.linalg.norm(t.B.T @ s))
+    stationarity = float(np.linalg.norm(s[t.tail] - s[t.head]))
     return KKTPoint(
         primal=eta,
         coords="edge",

@@ -304,7 +304,8 @@ def _field_gap(p: FlowProblem, s_nodal: PrimalDualState, h: float, horizon: floa
     )
     nodal = integrate(NETWORKED, p, s_nodal, h=h, t_end=horizon)
     edge = integrate(EDGE_PD, p, s_edge, h=h, t_end=horizon)
-    mapped = nodal.primal @ (t.B * np.diag(t.V))  # row-wise V B^T theta
+    theta = nodal.primal  # one sample per row; map each through V B^T
+    mapped = t.sqrt_w * (theta[:, t.tail] - theta[:, t.head])
     return float(np.max(np.linalg.norm(mapped - edge.primal, axis=1)))
 
 

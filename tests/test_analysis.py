@@ -113,7 +113,8 @@ def test_edge_split_orthonormal_and_reconstructs(rng):
         assert g.shape == (e, e)
         assert np.allclose(g.T @ g, np.eye(e), atol=1e-12)
         t = p.transform
-        hessian = t.V @ (t.B.T @ (p.m[:, None] * t.B)) @ t.V
+        v = t.sqrt_w
+        hessian = v[:, None] * (t.B.T @ (p.m[:, None] * t.B)) * v
         rebuilt = g @ np.diag(split.eigenvalues) @ g.T
         assert np.linalg.norm(rebuilt - hessian) < 1e-10
         assert np.linalg.norm(hessian @ split.gamma_zero) < 1e-10

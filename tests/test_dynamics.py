@@ -230,7 +230,9 @@ def test_integrate_rejects_bad_arguments():
         integrate(NETWORKED, p, zero_state(p), h=1e-3, t_end=1.0, sample_every=0)
     with pytest.raises(ValueError, match="check_every"):
         integrate(NETWORKED, p, zero_state(p), h=1e-3, t_end=1.0, check_every=0)
-    for h, t_end in ((float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("inf"))):
+    for h, t_end in (
+        (float("nan"), 1.0), (float("inf"), 1.0), (1e-3, float("inf")), (1e-3, -5.0), (1e-3, 0.0)
+    ):
         with pytest.raises(ValueError, match="h must be|t_end must be"):
             integrate(NETWORKED, p, zero_state(p), h=h, t_end=t_end)
 

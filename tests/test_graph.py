@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from droopflow import EDGE_PD, PrimalDualState, rhs
 from droopflow.graph import (
     NetworkGraph,
     build_transform,
-    is_tree,
     project_off_consensus,
     to_edge_coords,
 )
 from droopflow.instances import random_graph
+from droopflow.oracle import recover_theta
 
-from conftest import triangle_graph, two_node_graph
+from conftest import make_problem, triangle_graph, two_node_graph
 
 
 def test_two_node_laplacian():
@@ -31,7 +34,7 @@ def test_incidence_columns_sum_to_zero(rng):
         assert np.array_equal(np.sort(t.B, axis=0)[-1], np.ones(g.e))
         assert np.all(t.B.sum(axis=0) == 0)
         # L = B W B^T with W = V V
-        w = np.diag(t.V) ** 2
+        w = t.sqrt_w**2
         assert np.allclose(t.L, (t.B * w) @ t.B.T, atol=1e-14)
         assert np.linalg.norm(t.L @ np.ones(g.n)) < 1e-12
 
@@ -68,14 +71,6 @@ def test_edge_coords_dimension_mismatch():
     t = build_transform(two_node_graph())
     with pytest.raises(ValueError):
         to_edge_coords(t, np.zeros(3))
-
-
-def test_is_tree():
-    path = NetworkGraph(3, [(0, 1), (1, 2)], np.ones(2))
-    star = NetworkGraph(5, [(0, i) for i in range(1, 5)], np.ones(4))
-    assert is_tree(path)
-    assert is_tree(star)
-    assert not is_tree(triangle_graph())
 
 
 def test_project_off_consensus_examples():
@@ -133,3 +128,71 @@ def test_transform_matrices_read_only():
     t = build_transform(two_node_graph())
     with pytest.raises(ValueError):
         t.B[0, 0] = 5.0
+    assert t.B is t.B  # built once, on first access
+    for a in (t.tail, t.head, t.sqrt_w, t.L):
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edge=st.integers(0, 2),
+    weight=st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -2.5]),
+)
+def test_graph_names_bad_weights_by_edge(edge, weight):
+    edges = [(1, 0), (2, 0), (2, 1)]  # normalized to (0, 1), (0, 2), (1, 2)
+    weights = np.ones(3)
+    weights[edge] = weight
+    with pytest.raises(ValueError) as err:
+        NetworkGraph(3, edges, weights)
+    i, j = sorted(edges[edge])
+    assert str(err.value) == (
+        f"edge weights must be finite and positive: edge {edge} ({i}, {j}) has weight {weight:g}"
+    )
+
+
+def _grid_graph(rng, side):
+    idx = np.arange(side * side).reshape(side, side)
+    edges = [(int(a), int(b)) for a, b in zip(idx[:, :-1].ravel(), idx[:, 1:].ravel())]
+    edges += [(int(a), int(b)) for a, b in zip(idx[:-1].ravel(), idx[1:].ravel())]
+    return NetworkGraph(side * side, edges, rng.uniform(0.5, 3.0, len(edges)))
+
+
+def _index_form_cases(rng):
+    # Random graphs at n = 2-8 and a 16 x 16 grid (n = 256, e = 480).
+    graphs = [random_graph(rng, int(rng.integers(2, 9))) for _ in range(30)]
+    return graphs + [_grid_graph(rng, 16)]
+
+
+def test_edge_coords_match_dense_incidence(rng):
+    for g in _index_form_cases(rng):
+        t = build_transform(g)
+        theta = rng.normal(0.0, 1.0, g.n)
+        dense = np.sqrt(g.weights) * (t.B.T @ theta)
+        assert np.array_equal(to_edge_coords(t, theta), dense)
+
+
+def test_edge_injections_match_dense_incidence(rng):
+    for g in _index_form_cases(rng):
+        ones = np.ones(g.n)
+        p = make_problem(
+            g, rng.normal(size=g.n), rng.normal(size=g.n), -ones, ones, ones + rng.random(g.n)
+        )
+        t = p.transform
+        eta = rng.normal(0.0, 1.0, g.e)
+        s = PrimalDualState(eta, rng.random(g.n), rng.random(g.n))
+        inj = rhs(EDGE_PD, p, s)[4]
+        assert np.allclose(inj, t.B @ (t.sqrt_w * eta) + p.p_load, rtol=0.0, atol=1e-14)
+
+
+def test_recover_theta_matches_pseudoinverse(rng):
+    for g in _index_form_cases(rng):
+        t = build_transform(g)
+        x = rng.normal(0.0, 1.0, g.n)
+        p_load = rng.normal(0.0, 1.0, g.n)
+        b = x - x.mean()
+        theta = recover_theta(t, b + p_load, p_load)
+        rhs_ = (b + p_load) - p_load
+        assert abs(theta.mean()) < 1e-12
+        assert np.allclose(t.L @ theta, rhs_, rtol=0.0, atol=1e-10)
+        assert np.allclose(theta, np.linalg.pinv(t.L) @ rhs_, rtol=0.0, atol=1e-10)

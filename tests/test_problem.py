@@ -9,7 +9,6 @@ from droopflow import (
     injections,
     kkt_residual_edge,
     kkt_residual_nodal,
-    objective_nodal,
     solve,
     to_edge_coords,
     validate,
@@ -113,30 +112,6 @@ def test_violation_componentwise():
     assert g[2] == pytest.approx(0.1)
     feasible = violation(p, np.array([0.0, 0.0]))
     assert np.all(feasible < 0)
-
-
-def test_objective_matches_full_quadratic(rng):
-    for _ in range(10):
-        p = random_problem(rng)
-        theta = rng.normal(size=p.n)
-        inj = injections(p, theta)
-        full = 0.5 * (inj - p.p_star) @ (p.m * (inj - p.p_star))
-        const = 0.5 * (p.p_load - p.p_star) @ (p.m * (p.p_load - p.p_star))
-        assert objective_nodal(p, theta) + const == pytest.approx(full, abs=1e-10)
-
-
-def test_objective_consensus_and_shift():
-    p = balanced_two_node()
-    assert objective_nodal(p, 4.2 * np.ones(2)) == pytest.approx(0.0, abs=1e-14)
-    theta = np.array([0.3, -0.1])
-    assert objective_nodal(p, theta) == pytest.approx(
-        objective_nodal(p, theta + 7.0), abs=1e-12
-    )
-
-
-def test_objective_two_node_value():
-    p = balanced_two_node()
-    assert objective_nodal(p, np.array([-0.25, 0.25])) == pytest.approx(-0.25)
 
 
 def test_kkt_residual_names_and_nonnegativity(rng):

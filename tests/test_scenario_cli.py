@@ -244,6 +244,8 @@ def test_cli_error_exits(tmp_path, capsys):
     assert "step size h" in capsys.readouterr().err
     assert main(["simulate", str(path), "--out", str(tmp_path), "--t-end", "inf"]) == 2
     assert "horizon t_end" in capsys.readouterr().err
+    assert main(["simulate", str(path), "--out", str(tmp_path), "--t-end=-5"]) == 2
+    assert "horizon t_end must be finite and positive, got -5" in capsys.readouterr().err
 
 
 def test_suite_catches_a_corrupted_solver():
@@ -302,6 +304,25 @@ def test_predict_rejects_nonfinite_problem_data(scratch, field, node, value):
     code, err = _main_err(["predict", str(path)])
     assert code == 2
     assert f"{field}: NaN or infinite at nodes [{node}]" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(gain=st.sampled_from(["m", "k_p", "k_i"]), node=st.integers(0, 1), value=NONFINITE)
+def test_predict_rejects_nonfinite_gains(scratch, gain, node, value):
+    col = ("m", "k_p", "k_i").index(gain)  # node = p_star p_lo p_hi m k_p k_i
+    path = write_scenario(scratch, _with_token(MINI, 8 + node, 5 + col, value))
+    code, err = _main_err(["predict", str(path)])
+    assert code == 2
+    assert f"{gain} must be finite, NaN or infinite at nodes [{node}]" in err
+
+
+@settings(max_examples=20, deadline=None)
+@given(value=st.sampled_from(["nan", "inf", "-inf", "0", "-1"]))
+def test_oracle_rejects_bad_edge_weight(scratch, value):
+    path = write_scenario(scratch, _with_token(MINI, 4, 4, value))  # edge = 0 1 w
+    code, err = _main_err(["oracle", str(path)])
+    assert code == 2
+    assert "edge 0 (0, 1) has weight" in err
 
 
 @settings(max_examples=30, deadline=None)
