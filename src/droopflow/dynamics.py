@@ -48,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from .graph import to_edge_coords
 from .problem import FlowProblem
 
 # Integration aborts once the state norm exceeds this bound.
@@ -186,11 +187,8 @@ def rhs(system: System, p: FlowProblem, s: PrimalDualState):
     _, _, rates, inj, evaluate = _kernel(system, p, s)
     evaluate()
     omega, dlo, dhi = rates
-    if system.coords == "nodal":
-        dprimal = omega
-    else:  # deta = V B^T omega, with V = diag(sqrt(w))
-        t = p.transform
-        dprimal = t.sqrt_w * (omega[t.tail] - omega[t.head])
+    # deta = V B^T omega: the map that takes theta to eta, applied to omega.
+    dprimal = omega if system.coords == "nodal" else to_edge_coords(p.transform, omega)
     dlo = np.where(s.lambda_lo > 0, dlo, np.maximum(dlo, 0.0))
     dhi = np.where(s.lambda_hi > 0, dhi, np.maximum(dhi, 0.0))
     return dprimal, dlo, dhi, omega, inj
@@ -348,7 +346,7 @@ def integrate(
         if k == next_sample:
             record()
             next_sample += sample_every
-        if edge:
+        if edge:  # to_edge_coords(t, omega), without its argument checks
             primal += h * (sqrt_w * (omega[tail] - omega[head]))
         state += h * state_rate
         np.maximum(duals, floor, out=duals)

@@ -1,9 +1,10 @@
 """Graph algebra for network flow problems.
 
-Oriented incidence, edge weights, Laplacian, and the edge-coordinate
+Edge endpoints and weight roots, the Laplacian, and the edge-coordinate
 transform ``eta = V B^T theta`` that maps nodal variables to weighted
-differences across edges. Everything downstream (problem definitions,
-dynamics, analysis) builds on these objects.
+differences across edges, evaluated in O(e) from the edge endpoints.
+Everything downstream (problem definitions, dynamics, analysis) builds
+on these objects.
 """
 
 from __future__ import annotations
