@@ -41,7 +41,6 @@ from .graph import (
 from .oracle import OracleSolution, recover_theta, solve
 from .problem import (
     DEFAULT_ACTIVE_TOL,
-    DEFAULT_KKT_TOL,
     ActiveSets,
     FlowProblem,
     KKTPoint,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSets",
     "DEFAULT_ACTIVE_TOL",
-    "DEFAULT_KKT_TOL",
     "DROOP",
     "EDGE_PD",
     "EdgeSplit",

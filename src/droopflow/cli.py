@@ -32,6 +32,7 @@ from .dynamics import (
 )
 from .problem import (
     ActiveSets,
+    FlowProblem,
     KKTPoint,
     active_sets,
     kkt_residual_nodal,
@@ -119,17 +120,25 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _predict_segment(scenario: Scenario, k: int, p: FlowProblem) -> FrequencyPrediction:
+    """``predict`` on segment k, with its failure named by segment."""
+    try:
+        return predict(p)
+    except RuntimeError as e:
+        raise ScenarioError(
+            f"segment {k} (t_start = {scenario.schedule[k][0]:g}): {e}"
+        ) from None
+
+
 def _segment_report(
-    scenario: Scenario, k: int, traj: Trajectory
+    scenario: Scenario, k: int, p: FlowProblem, pred: FrequencyPrediction, traj: Trajectory
 ) -> SegmentReport:
-    p = scenario.segment_problem(k)
     t_start, t_stop = scenario.segment_span(k)
     final = traj.final_state
     kkt = kkt_residual_nodal(p, final.primal, final.lambda_lo, final.lambda_hi)
     inj = traj.injections[-1]
     g = violation(p, p.transform.L @ final.primal)
     metrics = sync_metrics(traj)
-    pred = predict(p)
     agreement = (
         abs(metrics.omega_s_estimate - pred.omega_s) < OMEGA_AGREEMENT_TOL
         and kkt.max_residual < FINAL_RESIDUAL_TOL
@@ -153,7 +162,6 @@ def _segment_report(
 def _write_artifacts(
     report: RunReport, trajectories: list[Trajectory], out_dir: Path, stem: str
 ) -> RunReport:
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}_trajectory.csv"
     long_path = out_dir / f"{stem}_trajectory_long.csv"
     report_path = out_dir / f"{stem}_report.txt"
@@ -192,24 +200,35 @@ def run(
 
     The final state of each segment seeds the next, so duals stay
     nonnegative across boundaries by construction. A step or horizon
-    that ``integrate`` would refuse is rejected before the first
-    segment runs. Divergence in any segment aborts the run and returns
-    the partial report with ``diverged_segment`` set.
+    that ``integrate`` would refuse, a segment ``predict`` cannot
+    classify and an ``out_dir`` that cannot be created are all rejected
+    before the first segment runs. Divergence in any segment aborts the
+    run and returns the partial report with ``diverged_segment`` set.
     """
     h = scenario.h if h is None else h
     t_end_run = scenario.t_end if t_end is None else t_end
     check_time_grid(h, t_end_run)
 
-    state = scenario.initial_state
-    trajectories: list[Trajectory] = []
-    segments: list[SegmentReport] = []
-    diverged: int | None = None
+    plan = []
     for k in range(scenario.n_segments):
         t_start, t_stop = scenario.segment_span(k)
         t_stop = min(t_stop, t_end_run) if k + 1 < scenario.n_segments else t_end_run
         if t_stop <= t_start:
             break
         p = scenario.segment_problem(k)
+        plan.append((k, t_start, t_stop, p, _predict_segment(scenario, k, p)))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ValueError(f"cannot create output directory {out_dir}: {e.strerror}") from None
+
+    state = scenario.initial_state
+    trajectories: list[Trajectory] = []
+    segments: list[SegmentReport] = []
+    diverged: int | None = None
+    for k, t_start, t_stop, p, pred in plan:
         try:
             traj = integrate(
                 NETWORKED,
@@ -224,7 +243,7 @@ def run(
             diverged = k
             break
         trajectories.append(traj)
-        segments.append(_segment_report(scenario, k, traj))
+        segments.append(_segment_report(scenario, k, p, pred, traj))
         state = traj.final_state
 
     report = RunReport(
@@ -235,7 +254,7 @@ def run(
         diverged_segment=diverged,
     )
     if out_dir is not None and trajectories:
-        report = _write_artifacts(report, trajectories, Path(out_dir), stem)
+        report = _write_artifacts(report, trajectories, out_dir, stem)
     return report
 
 
@@ -264,10 +283,13 @@ def _segment_indices(args: argparse.Namespace, scenario: Scenario) -> list[int]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    csv = None if args.csv is None else Path(args.csv)
+    if csv is not None and (csv.is_dir() or not csv.parent.is_dir()):
+        raise ValueError(f"--csv {csv} is not a file path in an existing directory")
     scenario = load_scenario(args.scenario)
     csv_rows = []
     for k in _segment_indices(args, scenario):
-        pred = predict(scenario.segment_problem(k))
+        pred = _predict_segment(scenario, k, scenario.segment_problem(k))
         print(f"segment: {k}")
         print(f"t_start: {scenario.schedule[k][0]:g}")
         print(f"case: {pred.case}")
@@ -279,11 +301,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"{k},{scenario.schedule[k][0]:.12g},{pred.case},{pred.omega_s:.12g},"
             f"\"{sorted(pred.active_lower)}\",\"{sorted(pred.active_upper)}\""
         )
-    if args.csv is not None:
-        path = Path(args.csv)
+    if csv is not None:
         header = "segment,t_start,case,omega_s,active_lower,active_upper"
-        exists = path.exists()
-        with path.open("a") as f:
+        exists = csv.exists()
+        with csv.open("a") as f:
             if not exists:
                 f.write(header + "\n")
             f.write("\n".join(csv_rows) + "\n")
@@ -351,10 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # ScenarioError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -390,18 +390,13 @@ class SyncMetrics:
     settled: bool
 
 
-def sync_metrics(
-    traj: Trajectory,
-    tail_fraction: float = 0.2,
-    spread_tol: float = SPREAD_TOL,
-    drift_tol: float = DRIFT_TOL,
-) -> SyncMetrics:
+def sync_metrics(traj: Trajectory, tail_fraction: float = 0.2) -> SyncMetrics:
     """Estimate the synchronous frequency over the trajectory tail.
 
     The estimate is the mean of all nodal frequencies over the last
     ``tail_fraction`` of samples; the run counts as settled when the
-    frequencies agree within ``spread_tol`` on that window and their
-    mean drifts slower than ``drift_tol``.
+    frequencies agree within ``SPREAD_TOL`` on that window and their
+    mean drifts slower than ``DRIFT_TOL``.
     """
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
@@ -419,5 +414,5 @@ def sync_metrics(
         omega_s_estimate=estimate,
         max_spread=max_spread,
         mean_drift=drift,
-        settled=max_spread < spread_tol and abs(drift) < drift_tol,
+        settled=max_spread < SPREAD_TOL and abs(drift) < DRIFT_TOL,
     )

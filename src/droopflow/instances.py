@@ -15,6 +15,13 @@ from .dynamics import PrimalDualState
 from .graph import NetworkGraph
 from .problem import FlowProblem
 
+# Chance that random_graph adds each non-tree edge.
+EXTRA_EDGE_PROB = 0.3
+# well_separated_problem rejects a draw whose unclipped optimum comes
+# within this distance (pu) of a limit, and gives up after MAX_TRIES.
+ACTIVE_SET_MARGIN = 0.02
+MAX_TRIES = 200
+
 
 def random_tree(rng: np.random.Generator, n: int) -> NetworkGraph:
     """Uniformly shuffled random spanning tree on n nodes."""
@@ -27,9 +34,7 @@ def random_tree(rng: np.random.Generator, n: int) -> NetworkGraph:
     return NetworkGraph(n, edges, weights)
 
 
-def random_graph(
-    rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3
-) -> NetworkGraph:
+def random_graph(rng: np.random.Generator, n: int) -> NetworkGraph:
     """Random connected graph: a spanning tree plus Bernoulli chords."""
     tree = random_tree(rng, n)
     edges = list(tree.edges)
@@ -37,7 +42,7 @@ def random_graph(
     weights = list(tree.weights)
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in present and rng.random() < extra_edge_prob:
+            if (i, j) not in present and rng.random() < EXTRA_EDGE_PROB:
                 edges.append((i, j))
                 weights.append(float(rng.uniform(0.5, 3.0)))
     return NetworkGraph(n, edges, weights)
@@ -106,33 +111,26 @@ def _balance_exactly(p_load: np.ndarray, p_star: np.ndarray) -> np.ndarray | Non
     return None
 
 
-def well_separated_problem(
-    rng: np.random.Generator,
-    n: int | None = None,
-    tree: bool = False,
-    margin: float = 0.02,
-    max_tries: int = 200,
-) -> FlowProblem:
+def well_separated_problem(rng: np.random.Generator, tree: bool = False) -> FlowProblem:
     """Random instance whose optimal active set is unambiguous.
 
     Rejects draws where any node's unclipped value p*_i - nu / m_i comes
-    within ``margin`` of either limit: a constraint active or inactive
-    by a hair makes the integral state creep for a long time, which is a
-    property of the instance, not of the dynamics under test.
+    within ``ACTIVE_SET_MARGIN`` of either limit: a constraint active or
+    inactive by a hair makes the integral state creep for a long time,
+    which is a property of the instance, not of the dynamics under test.
+    With ``tree=True`` the graph is a random spanning tree.
     """
-    for _ in range(max_tries):
-        if tree:
-            size = n if n is not None else int(rng.integers(2, 9))
-            graph = random_tree(rng, size)
-        else:
-            graph = None
-        p = random_problem(rng, n=n, graph=graph)
+    for _ in range(MAX_TRIES):
+        graph = random_tree(rng, int(rng.integers(2, 9))) if tree else None
+        p = random_problem(rng, graph=graph)
         sol = oracle.solve(p)
         unclipped = p.p_star - sol.nu / p.m
         gap = np.minimum(np.abs(unclipped - p.p_lo), np.abs(unclipped - p.p_hi))
-        if np.min(gap) >= margin:
+        if np.min(gap) >= ACTIVE_SET_MARGIN:
             return p
-    raise RuntimeError(f"no instance with active-set margin {margin} in {max_tries} tries")
+    raise RuntimeError(
+        f"no instance with active-set margin {ACTIVE_SET_MARGIN} in {MAX_TRIES} tries"
+    )
 
 
 def random_state(

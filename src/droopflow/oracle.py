@@ -25,14 +25,17 @@ from .problem import FlowProblem, validate
 # Bisection stops once the clip-sum matches the total load this closely.
 BISECTION_TOL = 1e-12
 MAX_BISECTIONS = 200
+# recover_theta accepts a right-hand side whose sum is at most this
+# fraction of (1 + its norm).
+BALANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class OracleSolution:
     """Optimal injections with recovered primal and dual variables.
 
-    ``nu`` is the equality-constraint multiplier (per-unit frequency);
-    ``predicted_omega_s`` is an alias for it. ``theta`` is the unique
+    ``nu`` is the equality-constraint multiplier, which equals the
+    synchronous frequency deviation (pu). ``theta`` is the unique
     zero-mean angle vector with L theta = p_opt - P_L. Duals for
     inactive constraints are exactly zero by construction.
     """
@@ -42,10 +45,6 @@ class OracleSolution:
     theta: np.ndarray
     lambda_lo: np.ndarray
     lambda_hi: np.ndarray
-
-    @property
-    def predicted_omega_s(self) -> float:
-        return self.nu
 
     @property
     def at_lower(self) -> frozenset[int]:
@@ -58,7 +57,7 @@ class OracleSolution:
         return frozenset(np.flatnonzero(self.lambda_hi > 0).tolist())
 
 
-def solve(p: FlowProblem, tol: float = BISECTION_TOL) -> OracleSolution:
+def solve(p: FlowProblem) -> OracleSolution:
     """Solve the flow problem by monotone dual bisection.
 
     The bracket [nu_min, nu_max] is chosen so all components clip to the
@@ -83,7 +82,7 @@ def solve(p: FlowProblem, tol: float = BISECTION_TOL) -> OracleSolution:
     for _ in range(MAX_BISECTIONS):
         nu = 0.5 * (lo + hi)
         miss = clip_sum(nu) - total_load
-        if abs(miss) < tol:
+        if abs(miss) < BISECTION_TOL:
             break
         if miss > 0:  # clip-sum too large, root lies at larger nu
             lo = nu
@@ -114,9 +113,7 @@ def solve(p: FlowProblem, tol: float = BISECTION_TOL) -> OracleSolution:
     )
 
 
-def recover_theta(
-    t: EdgeTransform, p_opt: np.ndarray, p_load: np.ndarray, tol: float = 1e-8
-) -> np.ndarray:
+def recover_theta(t: EdgeTransform, p_opt: np.ndarray, p_load: np.ndarray) -> np.ndarray:
     """Zero-mean theta with L theta = p_opt - p_load.
 
     Such a theta exists iff the right-hand side is orthogonal to the
@@ -129,7 +126,7 @@ def recover_theta(
     p_opt = np.asarray(p_opt, dtype=float)
     p_load = np.asarray(p_load, dtype=float)
     rhs = p_opt - p_load
-    if abs(rhs.sum()) > tol * (1.0 + np.linalg.norm(rhs)):
+    if abs(rhs.sum()) > BALANCE_TOL * (1.0 + np.linalg.norm(rhs)):
         raise ValueError(
             f"right-hand side not balanced: sum(p_opt - p_load) = {rhs.sum():g}"
         )

@@ -25,9 +25,6 @@ from .graph import (
     project_off_consensus,
 )
 
-# Acceptance tolerance on each KKT residual; an order looser than the
-# integrator accuracy targets.
-DEFAULT_KKT_TOL = 1e-6
 # Tolerance (pu power) for deciding that an injection sits at a limit.
 DEFAULT_ACTIVE_TOL = 1e-5
 
@@ -158,7 +155,8 @@ class KKTPoint:
 
     ``primal`` holds theta (nodal coordinates) or eta (edge coordinates)
     depending on ``coords``. Residuals are nonnegative scalars; the point
-    is a KKT point when all of them are below tolerance. Candidate duals
+    is a KKT point when all of them are below tolerance, a bound each
+    caller sets against ``max_residual``. Candidate duals
     are not clamped: dual infeasibility is reported, not hidden.
     """
 
@@ -171,9 +169,6 @@ class KKTPoint:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
-
-    def accepted(self, tol: float = DEFAULT_KKT_TOL) -> bool:
-        return self.max_residual < tol
 
 
 def _residuals(
@@ -262,18 +257,16 @@ class ActiveSets:
 
     at_lower: frozenset[int]
     at_upper: frozenset[int]
-    tol: float
 
 
-def active_sets(
-    p: FlowProblem, theta: np.ndarray, tol: float = DEFAULT_ACTIVE_TOL
-) -> ActiveSets:
-    """Classify nodes at their limits, |P_i - limit| <= tol.
+def active_sets(p: FlowProblem, theta: np.ndarray) -> ActiveSets:
+    """Classify nodes at their limits, |P_i - limit| <= DEFAULT_ACTIVE_TOL.
 
-    A node within tol of both limits means the limits are closer than
-    2*tol apart, which the feasibility assumptions preclude for a sane
-    tolerance; it is rejected as a validation error.
+    A node within that tolerance of both limits means the limits are
+    less than twice it apart, which the feasibility assumptions preclude
+    for a sane tolerance; it is rejected as a validation error.
     """
+    tol = DEFAULT_ACTIVE_TOL
     inj = injections(p, theta)
     lower = np.abs(inj - p.p_lo) <= tol
     upper = np.abs(inj - p.p_hi) <= tol
@@ -283,5 +276,4 @@ def active_sets(
     return ActiveSets(
         at_lower=frozenset(np.flatnonzero(lower).tolist()),
         at_upper=frozenset(np.flatnonzero(upper).tolist()),
-        tol=tol,
     )

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PrimalDualState
+from .dynamics import DEFAULT_STEP, PrimalDualState
 from .graph import NetworkGraph
 from .problem import FlowProblem, validate
 
@@ -201,7 +201,7 @@ def load_scenario(path) -> Scenario:
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ScenarioError(f"segment start times must be strictly increasing: {starts}")
 
-    h = _scalar(entries("sim", "h"), "sim", "h", default=1e-3, positive=True)
+    h = _scalar(entries("sim", "h"), "sim", "h", default=DEFAULT_STEP, positive=True)
     t_end = _scalar(entries("sim", "t_end"), "sim", "t_end")
     sample_every = _scalar(
         entries("sim", "sample_every"), "sim", "sample_every", default=1,

@@ -7,7 +7,8 @@ known failure kept on purpose: the nodal and edge integrations are
 exactly conjugate maps of each other, so their gap is rounding noise and
 does not contract when the step is halved. It is left failing, with the
 measured ratios in the message, rather than weakened to match the
-implementation; see the verify module docstring for the analysis.
+implementation; see the docstring of ``verify.check_coinciding_fields``
+and the standing note on this test in ROADMAP.md for the analysis.
 """
 
 import time

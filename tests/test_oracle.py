@@ -45,7 +45,6 @@ def test_upper_clipped_solution():
     assert sol.lambda_hi[0] == pytest.approx(0.35, abs=1e-9)
     assert sol.lambda_hi[1] == 0.0
     assert np.all(sol.lambda_lo == 0)
-    assert sol.predicted_omega_s == sol.nu
 
 
 def test_lower_clipped_mirror_solution():

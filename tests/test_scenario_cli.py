@@ -347,3 +347,68 @@ def test_simulate_rejects_nonfinite_overrides_before_integrating(scratch, flag, 
     assert code == 2
     assert ("step size h" if flag == "--h" else "horizon t_end") in err
     assert calls == []
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_simulate_rejects_unusable_out_before_integrating(tmp_path, out):
+    (tmp_path / "afile").write_text("keep\n")
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+        code, err = _main_err(["simulate", str(BUNDLED), "--out", str(tmp_path / out)])
+    assert code == 2
+    assert f"error: cannot create output directory {tmp_path / out}" in err
+    assert calls == []
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("csv", [".", "afile/preds.csv"])
+def test_predict_rejects_unusable_csv_before_predicting(tmp_path, csv):
+    (tmp_path / "afile").write_text("keep\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code, err = _main_err(["predict", str(BUNDLED), "--csv", str(tmp_path / csv)])
+    assert code == 2
+    assert f"error: --csv {tmp_path / csv} is not a file path" in err
+    assert stdout.getvalue() == ""
+
+
+# Total load 1e-14 below sum(P_hi): the file loads, but the oracle puts
+# both nodes at their upper limit and leaves predict no free node.
+ALL_AT_LIMIT = """\
+[graph]
+nodes = 2
+edge = 0 1 1.0
+[converters]
+base_power = 10
+node = 0.0 -1.0 0.3 1.0 0.5 1.0
+node = 0.0 -1.0 0.4 2.0 0.5 1.0
+[schedule]
+segment = 0  0.35 0.34999999999999
+[sim]
+t_end = 5
+"""
+
+
+def test_every_node_at_a_limit_is_named_by_segment(tmp_path):
+    path = write_scenario(tmp_path, ALL_AT_LIMIT)
+    message = "segment 0 (t_start = 0): every node is at a limit"
+
+    code, err = _main_err(["predict", str(path)])
+    assert code == 2
+    assert f"error: {message}" in err
+
+    out = tmp_path / "out"
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+        code, err = _main_err(["simulate", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"error: {message}" in err
+    assert calls == []
+    assert not out.exists()
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["oracle", str(path)]) == 0
+    assert "at_upper: [0, 1]" in stdout.getvalue()
