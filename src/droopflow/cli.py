@@ -287,9 +287,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if csv is not None and (csv.is_dir() or not csv.parent.is_dir()):
         raise ValueError(f"--csv {csv} is not a file path in an existing directory")
     scenario = load_scenario(args.scenario)
+    indices = _segment_indices(args, scenario)
+    preds = [_predict_segment(scenario, k, scenario.segment_problem(k)) for k in indices]
     csv_rows = []
-    for k in _segment_indices(args, scenario):
-        pred = _predict_segment(scenario, k, scenario.segment_problem(k))
+    for k, pred in zip(indices, preds):
         print(f"segment: {k}")
         print(f"t_start: {scenario.schedule[k][0]:g}")
         print(f"case: {pred.case}")

@@ -412,3 +412,18 @@ def test_every_node_at_a_limit_is_named_by_segment(tmp_path):
     with contextlib.redirect_stdout(stdout):
         assert main(["oracle", str(path)]) == 0
     assert "at_upper: [0, 1]" in stdout.getvalue()
+
+    # behind a valid segment: nothing is printed or appended
+    later = write_scenario(
+        tmp_path,
+        ALL_AT_LIMIT.replace("segment = 0 ", "segment = 0  0.1 0.0\nsegment = 2 "),
+        name="later.scenario",
+    )
+    csv = tmp_path / "preds.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code, err = _main_err(["predict", str(later), "--csv", str(csv)])
+    assert code == 2
+    assert "error: segment 1 (t_start = 2): every node is at a limit" in err
+    assert stdout.getvalue() == ""
+    assert not csv.exists()
