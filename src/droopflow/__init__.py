@@ -35,10 +35,17 @@ from .graph import (
     EdgeTransform,
     NetworkGraph,
     build_transform,
+    laplacian_apply,
     project_off_consensus,
     to_edge_coords,
 )
-from .oracle import OracleSolution, recover_theta, solve
+from .oracle import (
+    InjectionSolution,
+    OracleSolution,
+    recover_theta,
+    solve,
+    solve_injections,
+)
 from .problem import (
     DEFAULT_ACTIVE_TOL,
     ActiveSets,
@@ -66,6 +73,7 @@ __all__ = [
     "EdgeTransform",
     "FlowProblem",
     "FrequencyPrediction",
+    "InjectionSolution",
     "IntegrationError",
     "KKTPoint",
     "NETWORKED",
@@ -88,6 +96,7 @@ __all__ = [
     "integrate",
     "kkt_residual_edge",
     "kkt_residual_nodal",
+    "laplacian_apply",
     "load_scenario",
     "networked_rhs",
     "predict",
@@ -96,6 +105,7 @@ __all__ = [
     "rhs",
     "run_suite",
     "solve",
+    "solve_injections",
     "sync_metrics",
     "to_edge_coords",
     "validate",

@@ -3,9 +3,10 @@
 The synchronous frequency of the limited network admits a closed form
 once the saturated node sets are known: free nodes share the imbalance
 in proportion to 1/m_i, saturated nodes contribute their limit. The
-active sets are taken from the independent QP oracle, and the formula
-value is cross-checked against the oracle multiplier, so the two
-derivations confirm each other.
+active sets are taken from the independent QP oracle's bisection
+(without its angle recovery), and the formula value is cross-checked
+against the oracle multiplier, so the two derivations confirm each
+other.
 
 The edge-coordinate Hessian V B^T M B V is rank n-1; its
 eigendecomposition splits edge space into a strictly convex part and a
@@ -47,8 +48,9 @@ class FrequencyPrediction:
 def predict(p: FlowProblem) -> FrequencyPrediction:
     """Closed-form synchronous frequency of the limited network.
 
-    Solves the flow problem with the oracle to obtain the active sets,
-    then evaluates
+    Takes the active sets from the oracle's dual bisection
+    (:func:`oracle.solve_injections`, which recovers no angles), then
+    evaluates
 
         omega_s = (sum_free P*_i + sum_up P_u,i + sum_lo P_lo,i
                    - sum_i P_L,i) / sum_free (1 / m_i)
@@ -59,7 +61,7 @@ def predict(p: FlowProblem) -> FrequencyPrediction:
     omega_s aligned with the sign of the imbalance even when it is at
     roundoff scale.
     """
-    sol = oracle.solve(p)
+    sol = oracle.solve_injections(p)
     lower = sol.at_lower
     upper = sol.at_upper
     free = np.ones(p.n, dtype=bool)

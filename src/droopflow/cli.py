@@ -12,6 +12,7 @@ passed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from .dynamics import (
     integrate,
     sync_metrics,
 )
+from .graph import laplacian_apply
 from .problem import (
     ActiveSets,
     FlowProblem,
@@ -137,7 +139,7 @@ def _segment_report(
     final = traj.final_state
     kkt = kkt_residual_nodal(p, final.primal, final.lambda_lo, final.lambda_hi)
     inj = traj.injections[-1]
-    g = violation(p, p.transform.L @ final.primal)
+    g = violation(p, laplacian_apply(p.transform, final.primal))
     metrics = sync_metrics(traj)
     agreement = (
         abs(metrics.omega_s_estimate - pred.omega_s) < OMEGA_AGREEMENT_TOL
@@ -372,7 +374,14 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone: end quietly as SIGPIPE would, with
+        # stdout pointed at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as e:  # ScenarioError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

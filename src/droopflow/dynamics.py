@@ -34,10 +34,13 @@ with (s, g) = (sqrt(k_I), sqrt(k_I)) for lambda duals and (1, k_I) for
 mu duals. So a (3, rows, n) coefficient array, built once per call,
 gives all three rates from one multiply and one sum over the rows, and
 in nodal coordinates the last three rows are the state itself: one
-in-place ``+= h * rates`` advances theta and both duals. The Euler loop
-is bound by numpy's per-call overhead at the network sizes used here
-(n up to about 100), not by arithmetic, so fewer and larger calls per
-step are what make it faster.
+in-place ``+= h * rates`` advances theta and both duals. Below about
+n = 130 the Euler loop is bound by numpy's per-call overhead, not by
+arithmetic, so fewer and larger calls per step are what make it faster;
+there the nodal injections are one dense ``L @ theta``. On larger sparse
+networks that product costs O(n^2), and the kernel takes it from the
+edge endpoints in O(e) instead: :func:`graph.laplacian_apply` in the
+form the transform chose from n and e.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import to_edge_coords
+from .graph import laplacian_apply, to_edge_coords
 from .problem import FlowProblem
 
 # Integration aborts once the state norm exceeds this bound.
@@ -149,18 +152,18 @@ def _kernel(system: System, p: FlowProblem, s: PrimalDualState):
     flow = np.empty_like(primal)
     t = p.transform
     # Bound to locals: evaluate() runs once per Euler step.
-    L, tail, head, sqrt_w = t.L, t.tail, t.head, t.sqrt_w
+    tail, head, sqrt_w = t.tail, t.head, t.sqrt_w
     p_load, p_star, p_lo, p_hi = p.p_load, p.p_star, p.p_lo, p.p_hi
-    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     maximum, minimum, reduce = np.maximum, np.minimum, np.add.reduce
     bincount = np.bincount
 
     def evaluate() -> None:
-        # P = L theta + P_L is the product problem.injections uses; in
-        # edge coordinates B (V eta) scatters each edge flow onto its
-        # tail (+) and head (-).
+        # P = L theta + P_L, in the form the transform picked for its
+        # size; in edge coordinates B (V eta) scatters each edge flow
+        # onto its tail (+) and head (-).
         if nodal:
-            matmul(L, primal, out=inj)
+            laplacian_apply(t, primal, inj)
         else:
             multiply(sqrt_w, primal, out=flow)
             subtract(bincount(tail, flow, n), bincount(head, flow, n), out=inj)

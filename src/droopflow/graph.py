@@ -1,8 +1,10 @@
 """Graph algebra for network flow problems.
 
-Edge endpoints and weight roots, the Laplacian, and the edge-coordinate
+Edge endpoints and weights, the Laplacian, and the edge-coordinate
 transform ``eta = V B^T theta`` that maps nodal variables to weighted
 differences across edges, evaluated in O(e) from the edge endpoints.
+The nodal product ``L theta`` is taken densely on small networks and
+from the edge endpoints on large sparse ones (:func:`laplacian_apply`).
 Everything downstream (problem definitions, dynamics, analysis) builds
 on these objects.
 """
@@ -97,6 +99,16 @@ def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
     return all(seen)
 
 
+# Cost of one product L theta in microseconds, fit on an Intel Xeon
+# core (numpy 2.4, one BLAS thread) from n = 4 to 1024: the dense
+# matrix-vector product costs about DENSE_US + DENSE_US_PER_ENTRY * n^2,
+# the index form about INDEX_US + INDEX_US_PER_EDGE * e. The index form's
+# fixed cost is four numpy calls to the dense form's one, so below about
+# n = 130 the dense product wins for any e.
+DENSE_US, DENSE_US_PER_ENTRY = 0.9, 1.2e-4
+INDEX_US, INDEX_US_PER_EDGE = 2.9, 7.0e-3
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeTransform:
     """Edge index form of the incidence factorization L = B W B^T.
@@ -110,49 +122,83 @@ class EdgeTransform:
     ----------
     tail, head : ndarray of intp, shape (e,)
         Lower and higher endpoint of each edge, in ``g.edges`` order.
+    w : ndarray, shape (e,)
+        Edge weights, the diagonal of W.
     sqrt_w : ndarray, shape (e,)
         Square roots of the edge weights, the diagonal of V.
     L : ndarray, shape (n, n)
-        Dense Laplacian L = B W B^T with W = V V.
+        Dense Laplacian L = B W B^T, for solves; products with it go
+        through :func:`laplacian_apply`.
+    index_form : bool
+        Whether :func:`laplacian_apply` takes L theta from the edge
+        endpoints instead of the dense L, fixed by n and e alone.
     """
 
     tail: np.ndarray
     head: np.ndarray
+    w: np.ndarray
     sqrt_w: np.ndarray
     L: np.ndarray
+    index_form: bool
 
     @cached_property
     def B(self) -> np.ndarray:
         """Dense oriented incidence, shape (n, e): +1 at the tail and -1
         at the head of each edge. Built once, on first access."""
-        B = _incidence(self.L.shape[0], self.tail, self.head)
+        cols = np.arange(len(self.tail))
+        B = np.zeros((self.L.shape[0], len(self.tail)))
+        B[self.tail, cols] = 1.0
+        B[self.head, cols] = -1.0
         B.setflags(write=False)
         return B
 
 
-def _incidence(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    cols = np.arange(len(tail))
-    B = np.zeros((n, len(tail)))
-    B[tail, cols] = 1.0
-    B[head, cols] = -1.0
-    return B
-
-
 def build_transform(g: NetworkGraph) -> EdgeTransform:
-    """Build the edge endpoints, weight root, and Laplacian of ``g``.
+    """Build the edge endpoints, weights, and Laplacian of ``g``.
 
     Deterministic for a given edge ordering: edge k is g.edges[k], with
-    its tail at the lower index. L is formed as the dense product
-    (B W) B^T, whose rounding every nodal trajectory depends on.
+    its tail at the lower index. L is assembled from the endpoints:
+    -w_k at (tail, head) and (head, tail), and on the diagonal each
+    node's weighted degree, summed in edge order. A dense product
+    (B W) B^T accumulates in that same order on small graphs, so their
+    nodal trajectories keep its rounding. ``index_form`` picks the
+    cheaper product with L by the cost model above.
     """
+    n = g.n
     ends = np.array(g.edges, dtype=np.intp).T.copy()
     ends.setflags(write=False)
     tail, head = ends
-    B = _incidence(g.n, tail, head)
-    L = (B * g.weights) @ B.T
+    w = g.weights
+    L = np.zeros((n, n))
+    L[tail, head] = -w  # NetworkGraph rejects duplicate edges
+    L[head, tail] = -w
+    np.fill_diagonal(L, np.bincount(ends.T.ravel(), np.repeat(w, 2), n))
+    index_us = INDEX_US + INDEX_US_PER_EDGE * g.e
+    dense_us = DENSE_US + DENSE_US_PER_ENTRY * n * n
     return EdgeTransform(
-        tail=tail, head=head, sqrt_w=_readonly(np.sqrt(g.weights)), L=_readonly(L)
+        tail=tail,
+        head=head,
+        w=w,
+        sqrt_w=_readonly(np.sqrt(w)),
+        L=_readonly(L),
+        index_form=index_us < dense_us,
     )
+
+
+def laplacian_apply(
+    t: EdgeTransform, theta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Network part of the injections, L theta, into ``out`` if given.
+
+    Dense, or, where ``t.index_form`` is set, in O(e) from the edges:
+    ``f = w * (theta[tail] - theta[head])`` scattered with ``+f`` onto
+    the tails and ``-f`` onto the heads. The two agree to rounding.
+    """
+    if not t.index_form:
+        return np.matmul(t.L, theta, out=out)
+    n = len(theta)
+    f = t.w * (theta[t.tail] - theta[t.head])
+    return np.subtract(np.bincount(t.tail, f, n), np.bincount(t.head, f, n), out=out)
 
 
 def to_edge_coords(t: EdgeTransform, theta: np.ndarray) -> np.ndarray:

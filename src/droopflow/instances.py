@@ -123,7 +123,7 @@ def well_separated_problem(rng: np.random.Generator, tree: bool = False) -> Flow
     for _ in range(MAX_TRIES):
         graph = random_tree(rng, int(rng.integers(2, 9))) if tree else None
         p = random_problem(rng, graph=graph)
-        sol = oracle.solve(p)
+        sol = oracle.solve_injections(p)
         unclipped = p.p_star - sol.nu / p.m
         gap = np.minimum(np.abs(unclipped - p.p_lo), np.abs(unclipped - p.p_hi))
         if np.min(gap) >= ACTIVE_SET_MARGIN:

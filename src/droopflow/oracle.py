@@ -31,18 +31,16 @@ BALANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class OracleSolution:
-    """Optimal injections with recovered primal and dual variables.
+class InjectionSolution:
+    """Optimal injections and multipliers, without the angles.
 
     ``nu`` is the equality-constraint multiplier, which equals the
-    synchronous frequency deviation (pu). ``theta`` is the unique
-    zero-mean angle vector with L theta = p_opt - P_L. Duals for
-    inactive constraints are exactly zero by construction.
+    synchronous frequency deviation (pu). Duals for inactive
+    constraints are exactly zero by construction.
     """
 
     p_opt: np.ndarray
     nu: float
-    theta: np.ndarray
     lambda_lo: np.ndarray
     lambda_hi: np.ndarray
 
@@ -57,8 +55,19 @@ class OracleSolution:
         return frozenset(np.flatnonzero(self.lambda_hi > 0).tolist())
 
 
-def solve(p: FlowProblem) -> OracleSolution:
-    """Solve the flow problem by monotone dual bisection.
+@dataclass(frozen=True, eq=False)
+class OracleSolution(InjectionSolution):
+    """Optimal injections and multipliers plus the angles behind them.
+
+    ``theta`` is the unique zero-mean angle vector with
+    L theta = p_opt - P_L.
+    """
+
+    theta: np.ndarray
+
+
+def solve_injections(p: FlowProblem) -> InjectionSolution:
+    """Optimal injections, multiplier and duals by monotone dual bisection.
 
     The bracket [nu_min, nu_max] is chosen so all components clip to the
     upper (resp. lower) limit at its ends, which under the feasibility
@@ -106,10 +115,21 @@ def solve(p: FlowProblem) -> OracleSolution:
     lambda_lo[at_lower] = (
         p.m[at_lower] * (p.p_lo[at_lower] - p.p_star[at_lower]) + nu
     ) / sqrt_ki[at_lower]
+    return InjectionSolution(
+        p_opt=p_opt, nu=float(nu), lambda_lo=lambda_lo, lambda_hi=lambda_hi
+    )
 
-    theta = recover_theta(p.transform, p_opt, p.p_load)
+
+def solve(p: FlowProblem) -> OracleSolution:
+    """Solve the flow problem: :func:`solve_injections`, then the angles
+    by :func:`recover_theta`."""
+    sol = solve_injections(p)
     return OracleSolution(
-        p_opt=p_opt, nu=float(nu), theta=theta, lambda_lo=lambda_lo, lambda_hi=lambda_hi
+        p_opt=sol.p_opt,
+        nu=sol.nu,
+        lambda_lo=sol.lambda_lo,
+        lambda_hi=sol.lambda_hi,
+        theta=recover_theta(p.transform, sol.p_opt, p.p_load),
     )
 
 

@@ -22,6 +22,7 @@ from .graph import (
     EdgeTransform,
     NetworkGraph,
     build_transform,
+    laplacian_apply,
     project_off_consensus,
 )
 
@@ -135,7 +136,7 @@ def validate(p: FlowProblem) -> ValidationReport:
 def injections(p: FlowProblem, theta: np.ndarray) -> np.ndarray:
     """Network injections P = L theta + P_L."""
     theta = _vec(theta, p.n, "theta")
-    return p.transform.L @ theta + p.p_load
+    return laplacian_apply(p.transform, theta) + p.p_load
 
 
 def violation(p: FlowProblem, p_net: np.ndarray) -> np.ndarray:
@@ -213,7 +214,7 @@ def kkt_residual_nodal(
     theta = _vec(theta, p.n, "theta")
     lambda_lo = _vec(lambda_lo, p.n, "lambda_lo")
     lambda_hi = _vec(lambda_hi, p.n, "lambda_hi")
-    p_net = p.transform.L @ theta
+    p_net = laplacian_apply(p.transform, theta)
     s = _stationarity_vector(p, p_net, lambda_lo, lambda_hi)
     stationarity = float(np.linalg.norm(project_off_consensus(s)))
     return KKTPoint(

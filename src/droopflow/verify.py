@@ -34,7 +34,7 @@ from .dynamics import (
     sync_metrics,
     zero_state,
 )
-from .graph import to_edge_coords
+from .graph import laplacian_apply, to_edge_coords
 from .problem import FlowProblem, KKTPoint, kkt_residual_nodal, violation
 
 # Battery tolerances. The dynamics thresholds are the acceptance
@@ -155,7 +155,7 @@ def settle_networked(
         pt = kkt_residual_nodal(prob, s.primal, s.lambda_lo, s.lambda_hi)
         if pt.max_residual >= residual_tol:
             return False
-        g = violation(prob, prob.transform.L @ s.primal)
+        g = violation(prob, laplacian_apply(prob.transform, s.primal))
         return float(g.max()) < violation_tol
 
     h = DEFAULT_STEP
@@ -183,7 +183,7 @@ def settle_networked(
     )
     s = dense.final_state
     kkt = kkt_residual_nodal(p, s.primal, s.lambda_lo, s.lambda_hi)
-    g = violation(p, p.transform.L @ s.primal)
+    g = violation(p, laplacian_apply(p.transform, s.primal))
     return SettleResult(
         trajectory=dense,
         kkt=kkt,

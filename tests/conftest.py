@@ -62,6 +62,15 @@ def triangle_graph(weights=(1.0, 1.0, 1.0)):
     return NetworkGraph(3, [(0, 1), (0, 2), (1, 2)], np.asarray(weights, dtype=float))
 
 
+def grid_graph(rng, side):
+    """side x side grid, n = side^2 and e = 2 side (side - 1); a 16 x 16
+    grid or larger takes the index form of L theta."""
+    idx = np.arange(side * side).reshape(side, side)
+    edges = [(int(a), int(b)) for a, b in zip(idx[:, :-1].ravel(), idx[:, 1:].ravel())]
+    edges += [(int(a), int(b)) for a, b in zip(idx[:-1].ravel(), idx[1:].ravel())]
+    return NetworkGraph(side * side, edges, rng.uniform(0.5, 3.0, len(edges)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

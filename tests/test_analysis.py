@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from droopflow import edge_split, predict, solve
+from droopflow import edge_split, oracle, predict, solve
 from droopflow.instances import (
     random_cyclic_graph,
     random_problem,
@@ -36,6 +36,19 @@ def test_predict_clipped_cases():
     assert under.omega_s == pytest.approx(0.5, abs=1e-9)
     assert under.active_lower == frozenset({0})
     assert under.active_upper == frozenset()
+
+
+def test_predict_recovers_no_angles(rng, monkeypatch):
+    expected = [(p, predict(p)) for p in (random_problem(rng) for _ in range(20))]
+
+    def refuse(*args):
+        raise AssertionError("recover_theta called")
+
+    monkeypatch.setattr(oracle, "recover_theta", refuse)
+    with pytest.raises(AssertionError, match="recover_theta called"):
+        solve(expected[0][0])
+    for p, want in expected:
+        assert predict(p) == want
 
 
 def test_prediction_matches_oracle_multiplier(rng):

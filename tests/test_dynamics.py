@@ -24,7 +24,7 @@ from droopflow.analysis import edge_split
 from droopflow.instances import random_problem, random_state
 from droopflow.verify import _field_gap
 
-from conftest import balanced_two_node, example_e, make_problem, triangle_graph
+from conftest import balanced_two_node, example_e, grid_graph, make_problem, triangle_graph
 
 
 def path_problem(n=4):
@@ -241,9 +241,11 @@ def test_integrate_rejects_bad_arguments():
 def test_one_integrate_step_is_euler_on_rhs(rng, system):
     # States beyond each limit with about a third of the duals at exactly
     # zero, where the limiting terms and the dual clamp are live.
+    # The last instance, a 16 x 16 grid, takes the index form of L theta.
     h = 1e-3
-    for _ in range(40):
-        p = random_problem(rng)
+    for k in range(41):
+        p = random_problem(rng, graph=grid_graph(rng, 16) if k == 40 else None)
+        assert p.transform.index_form == (k == 40)
         theta = rng.normal(0.0, 0.6, p.n)
         lo, hi = (np.abs(rng.normal(0.0, 0.5, p.n)) * (rng.random(p.n) >= 0.35) for _ in range(2))
         primal = theta if system.coords == "nodal" else to_edge_coords(p.transform, theta)

@@ -1,19 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droopflow import EDGE_PD, PrimalDualState, rhs
+from droopflow import (
+    EDGE_PD,
+    NETWORKED,
+    PrimalDualState,
+    injections,
+    integrate,
+    kkt_residual_edge,
+    kkt_residual_nodal,
+    predict,
+    rhs,
+    solve,
+)
 from droopflow.graph import (
     NetworkGraph,
     build_transform,
+    laplacian_apply,
     project_off_consensus,
     to_edge_coords,
 )
-from droopflow.instances import random_graph
+from droopflow.instances import random_graph, random_problem, random_state
 from droopflow.oracle import recover_theta
 
-from conftest import make_problem, triangle_graph, two_node_graph
+from conftest import grid_graph, make_problem, triangle_graph, two_node_graph
 
 
 def test_two_node_laplacian():
@@ -151,17 +165,10 @@ def test_graph_names_bad_weights_by_edge(edge, weight):
     )
 
 
-def _grid_graph(rng, side):
-    idx = np.arange(side * side).reshape(side, side)
-    edges = [(int(a), int(b)) for a, b in zip(idx[:, :-1].ravel(), idx[:, 1:].ravel())]
-    edges += [(int(a), int(b)) for a, b in zip(idx[:-1].ravel(), idx[1:].ravel())]
-    return NetworkGraph(side * side, edges, rng.uniform(0.5, 3.0, len(edges)))
-
-
 def _index_form_cases(rng):
     # Random graphs at n = 2-8 and a 16 x 16 grid (n = 256, e = 480).
     graphs = [random_graph(rng, int(rng.integers(2, 9))) for _ in range(30)]
-    return graphs + [_grid_graph(rng, 16)]
+    return graphs + [grid_graph(rng, 16)]
 
 
 def test_edge_coords_match_dense_incidence(rng):
@@ -196,3 +203,45 @@ def test_recover_theta_matches_pseudoinverse(rng):
         assert abs(theta.mean()) < 1e-12
         assert np.allclose(t.L @ theta, rhs_, rtol=0.0, atol=1e-10)
         assert np.allclose(theta, np.linalg.pinv(t.L) @ rhs_, rtol=0.0, atol=1e-10)
+
+
+def test_small_networks_keep_the_dense_product_and_meshes_take_the_index_form(rng):
+    # A tree has the fewest edges for its n, so it is the graph most in
+    # favour of the index form: every network of the batteries and the
+    # bundled scenario (n <= 9) stays dense, the 16 x 16 and 32 x 32
+    # grids do not.
+    for n in range(2, 10):
+        path = NetworkGraph(n, [(i, i + 1) for i in range(n - 1)], np.ones(n - 1))
+        assert not build_transform(path).index_form
+    for side in (16, 32):
+        assert build_transform(grid_graph(rng, side)).index_form
+
+
+def test_laplacian_apply_matches_the_dense_product_in_both_forms(rng):
+    graphs = _index_form_cases(rng) + [grid_graph(rng, 32)]
+    assert {build_transform(g).index_form for g in graphs} == {False, True}
+    for g in graphs:
+        t = build_transform(g)
+        theta = rng.normal(0.0, 1.0, g.n)
+        for form in (False, True):
+            got = laplacian_apply(dataclasses.replace(t, index_form=form), theta)
+            np.testing.assert_allclose(got, t.L @ theta, rtol=0.0, atol=1e-13)
+        out = np.empty(g.n)
+        assert laplacian_apply(t, theta, out) is out
+        np.testing.assert_allclose(out, t.L @ theta, rtol=0.0, atol=1e-13)
+
+
+def test_runs_and_residuals_leave_the_dense_incidence_unbuilt(rng):
+    for g in (random_graph(rng, 6), grid_graph(rng, 16)):
+        p = random_problem(rng, graph=g)
+        t = p.transform
+        s = random_state(rng, p)
+        eta = to_edge_coords(t, s.primal)
+        integrate(NETWORKED, p, s, h=1e-3, t_end=0.05)
+        integrate(EDGE_PD, p, PrimalDualState(eta, s.lambda_lo, s.lambda_hi), h=1e-3, t_end=0.05)
+        sol = solve(p)
+        predict(p)
+        injections(p, sol.theta)
+        kkt_residual_nodal(p, sol.theta, sol.lambda_lo, sol.lambda_hi)
+        kkt_residual_edge(p, to_edge_coords(t, sol.theta), sol.lambda_lo, sol.lambda_hi)
+        assert "B" not in t.__dict__

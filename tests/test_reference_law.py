@@ -27,6 +27,8 @@ from droopflow import (
 )
 from droopflow.instances import random_problem
 
+from conftest import grid_graph
+
 # Rounding level for O(1) quantities summed over a handful of neighbours.
 RTOL = 1e-12
 ATOL = 1e-12
@@ -95,28 +97,33 @@ def _edge_rate(p, omega):
     )
 
 
-def _live_states(rng, count=200):
-    """(problem, theta, dual_lo, dual_hi) with limits and projections live.
+def _live_state(rng, p):
+    """(p, theta, dual_lo, dual_hi) with limits and projections live.
 
     A wide theta drives injections past both limits; about a third of
     the duals sit at exactly zero.
     """
-    cases = []
-    for _ in range(count):
-        p = random_problem(rng)
-        theta = rng.normal(0.0, 0.6, p.n)
-        duals = []
-        for _ in range(2):
-            d = np.abs(rng.normal(0.0, 0.5, p.n))
-            d[rng.random(p.n) < 0.35] = 0.0
-            duals.append(d)
-        cases.append((p, theta, duals[0], duals[1]))
-    return cases
+    theta = rng.normal(0.0, 0.6, p.n)
+    duals = []
+    for _ in range(2):
+        d = np.abs(rng.normal(0.0, 0.5, p.n))
+        d[rng.random(p.n) < 0.35] = 0.0
+        duals.append(d)
+    return p, theta, duals[0], duals[1]
+
+
+def _grid_problem(rng):
+    # large enough that the kernel takes L theta in index form
+    p = random_problem(rng, graph=grid_graph(rng, 16))
+    assert p.transform.index_form
+    return p
 
 
 @pytest.fixture(scope="module")
 def live_states():
-    cases = _live_states(np.random.default_rng(20241108))
+    rng = np.random.default_rng(20241108)
+    cases = [_live_state(rng, random_problem(rng)) for _ in range(200)]
+    cases.append(_live_state(rng, _grid_problem(rng)))
     # the draw must reach every branch of the law, or the comparison
     # below says nothing about it
     above = below = inside = zero_pushed = zero_held = 0
@@ -163,8 +170,8 @@ def test_doubling_every_power_doubles_the_trajectory_exactly(system):
     # multiplying by 2 is exact in binary floating point, so any additive
     # offset or absolute threshold in the loop shows as a mismatch.
     rng = np.random.default_rng(77)
-    for _ in range(10):
-        p = random_problem(rng)
+    for k in range(11):
+        p = random_problem(rng) if k < 10 else _grid_problem(rng)
         s = PrimalDualState(
             rng.normal(0.0, 0.6, p.n),
             np.abs(rng.normal(0.0, 0.5, p.n)) * (rng.random(p.n) < 0.6),

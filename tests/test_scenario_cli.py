@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +430,26 @@ def test_every_node_at_a_limit_is_named_by_segment(tmp_path):
     assert "error: segment 1 (t_start = 2): every node is at a limit" in err
     assert stdout.getvalue() == ""
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "oracle"])
+def test_closed_stdout_ends_quietly(command):
+    # As in `droopflow predict nine_bus.scenario | (exec 0<&-; true)`:
+    # the read end is closed before the command writes, so every write
+    # to stdout fails with EPIPE. That is not unusable input (exit 2).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(droopflow.__file__).parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "droopflow", command, str(BUNDLED)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 1
