@@ -152,40 +152,40 @@ def violation(p: FlowProblem, p_net: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KKTPoint:
-    """A candidate primal-dual point with its residual breakdown.
+    """The KKT residual breakdown of a candidate primal-dual point.
 
-    ``primal`` holds theta (nodal coordinates) or eta (edge coordinates)
-    depending on ``coords``. Residuals are nonnegative scalars; the point
-    is a KKT point when all of them are below tolerance, a bound each
-    caller sets against ``max_residual``. Candidate duals
-    are not clamped: dual infeasibility is reported, not hidden.
+    Residuals are nonnegative scalars; the point is a KKT point when all
+    of them are below tolerance, a bound each caller sets against
+    ``max_residual``. Candidate duals are not clamped: dual
+    infeasibility is reported, not hidden. ``max_violation`` is the
+    largest component of the constraint function g (see
+    :func:`violation`): positive is the worst amount by which an
+    injection exceeds a limit, negative means every injection is
+    strictly inside its limits, by at least its magnitude.
     """
 
-    primal: np.ndarray
-    coords: str  # "nodal" or "edge"
-    lambda_lo: np.ndarray
-    lambda_hi: np.ndarray
     residuals: dict[str, float]
+    max_violation: float
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
 
-def _residuals(
+def _kkt_point(
     p: FlowProblem,
     p_net: np.ndarray,
     lambda_lo: np.ndarray,
     lambda_hi: np.ndarray,
     stationarity: float,
-) -> dict[str, float]:
+) -> KKTPoint:
     g = violation(p, p_net)
     sqrt_ki = p.sqrt_k_i
     slack = float(
         np.linalg.norm(lambda_lo * (sqrt_ki * (p.p_lo - p_net - p.p_load)))
         + np.linalg.norm(lambda_hi * (sqrt_ki * (p_net + p.p_load - p.p_hi)))
     )
-    return {
+    residuals = {
         "stationarity": stationarity,
         "primal_feasibility": float(np.linalg.norm(np.maximum(g, 0.0))),
         "dual_feasibility": float(
@@ -193,6 +193,7 @@ def _residuals(
         ),
         "complementary_slackness": slack,
     }
+    return KKTPoint(residuals=residuals, max_violation=float(g.max()))
 
 
 def _stationarity_vector(
@@ -217,13 +218,7 @@ def kkt_residual_nodal(
     p_net = laplacian_apply(p.transform, theta)
     s = _stationarity_vector(p, p_net, lambda_lo, lambda_hi)
     stationarity = float(np.linalg.norm(project_off_consensus(s)))
-    return KKTPoint(
-        primal=theta,
-        coords="nodal",
-        lambda_lo=lambda_lo,
-        lambda_hi=lambda_hi,
-        residuals=_residuals(p, p_net, lambda_lo, lambda_hi, stationarity),
-    )
+    return _kkt_point(p, p_net, lambda_lo, lambda_hi, stationarity)
 
 
 def kkt_residual_edge(
@@ -243,13 +238,7 @@ def kkt_residual_edge(
     p_net = np.bincount(t.tail, flow, p.n) - np.bincount(t.head, flow, p.n)
     s = _stationarity_vector(p, p_net, lambda_lo, lambda_hi)
     stationarity = float(np.linalg.norm(s[t.tail] - s[t.head]))
-    return KKTPoint(
-        primal=eta,
-        coords="edge",
-        lambda_lo=lambda_lo,
-        lambda_hi=lambda_hi,
-        residuals=_residuals(p, p_net, lambda_lo, lambda_hi, stationarity),
-    )
+    return _kkt_point(p, p_net, lambda_lo, lambda_hi, stationarity)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ Every load segment must yield a valid flow problem (limits ordered,
 setpoints interior, total load strictly between the limit sums); a
 violating segment is rejected at load time with its index, because a
 schedule that breaks the standing assumptions mid-run would otherwise
-fail far from the place that caused it. Every number must be finite,
+fail far from the place that caused it. The problems built for that
+check are the ones the loaded :class:`Scenario` hands out, so each
+segment's problem is built once per load. Every number must be finite,
 counts must be integers, and ``base_power`` and ``h`` must be positive;
 a value that breaks this is rejected with its line number.
 """
@@ -51,17 +53,17 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed and validated scenario."""
+    """Parsed and validated scenario: one flow problem per load segment.
 
-    graph: NetworkGraph
-    p_star: np.ndarray
-    p_lo: np.ndarray
-    p_hi: np.ndarray
-    m: np.ndarray
-    k_p: np.ndarray
-    k_i: np.ndarray
+    ``problems[k]`` is segment k's problem, built once at load time and
+    validated there; its graph, setpoints, limits and gains are the
+    scenario's, shared by every segment. ``starts[k]`` is the time
+    segment k begins; the last one runs until ``t_end``.
+    """
+
     base_power: float  # MVA, converts per-unit powers in reports
-    schedule: tuple[tuple[float, np.ndarray], ...]
+    starts: tuple[float, ...]
+    problems: tuple[FlowProblem, ...]
     h: float
     t_end: float
     sample_every: int
@@ -69,25 +71,15 @@ class Scenario:
 
     @property
     def n_segments(self) -> int:
-        return len(self.schedule)
+        return len(self.problems)
 
     def segment_span(self, k: int) -> tuple[float, float]:
         """Start and stop time of segment k within [0, t_end]."""
-        start = self.schedule[k][0]
-        stop = self.schedule[k + 1][0] if k + 1 < self.n_segments else self.t_end
-        return start, stop
+        stop = self.starts[k + 1] if k + 1 < self.n_segments else self.t_end
+        return self.starts[k], stop
 
     def segment_problem(self, k: int) -> FlowProblem:
-        return FlowProblem(
-            self.graph,
-            self.p_star,
-            self.schedule[k][1],
-            self.p_lo,
-            self.p_hi,
-            self.m,
-            self.k_p,
-            self.k_i,
-        )
+        return self.problems[k]
 
 
 _SECTIONS = ("graph", "converters", "schedule", "sim")
@@ -187,17 +179,18 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[converters] has {len(rows)} node lines, graph has {n} nodes")
     p_star, p_lo, p_hi, m, k_p, k_i = (np.asarray(col) for col in zip(*rows))
 
-    schedule: list[tuple[float, np.ndarray]] = []
+    starts: list[float] = []
+    loads: list[np.ndarray] = []
     for lineno, value in entries("schedule", "segment"):
         xs = _floats(value, lineno, "segment", n + 1)
         if not math.isfinite(xs[0]):
             raise ScenarioError(f"line {lineno}: segment start must be finite, got {xs[0]}")
-        schedule.append((xs[0], np.asarray(xs[1:])))
-    if not schedule:
+        starts.append(xs[0])
+        loads.append(np.asarray(xs[1:]))
+    if not starts:
         raise ScenarioError("[schedule] must contain at least one segment")
-    if schedule[0][0] != 0.0:
-        raise ScenarioError(f"first segment must start at t = 0, got {schedule[0][0]:g}")
-    starts = [t for t, _ in schedule]
+    if starts[0] != 0.0:
+        raise ScenarioError(f"first segment must start at t = 0, got {starts[0]:g}")
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ScenarioError(f"segment start times must be strictly increasing: {starts}")
 
@@ -234,28 +227,23 @@ def load_scenario(path) -> Scenario:
     if leftovers:
         raise ScenarioError(f"unknown keys: {', '.join(leftovers)}")
 
-    scenario = Scenario(
-        graph=graph,
-        p_star=p_star,
-        p_lo=p_lo,
-        p_hi=p_hi,
-        m=m,
-        k_p=k_p,
-        k_i=k_i,
+    problems = []
+    for k, (start, p_load) in enumerate(zip(starts, loads)):
+        try:
+            p = FlowProblem(graph, p_star, p_load, p_lo, p_hi, m, k_p, k_i)
+        except ValueError as e:
+            raise ScenarioError(f"segment {k} (t = {start:g}): {e}") from e
+        report = validate(p)
+        if not report.passed:
+            raise ScenarioError(f"segment {k} (t = {start:g}) fails validation: {report}")
+        problems.append(p)
+
+    return Scenario(
         base_power=float(base_power),
-        schedule=tuple(schedule),
+        starts=tuple(starts),
+        problems=tuple(problems),
         h=float(h),
         t_end=float(t_end),
         sample_every=sample_every,
         initial_state=state0,
     )
-
-    for k in range(scenario.n_segments):
-        try:
-            p = scenario.segment_problem(k)
-        except ValueError as e:
-            raise ScenarioError(f"segment {k} (t = {starts[k]:g}): {e}") from e
-        report = validate(p)
-        if not report.passed:
-            raise ScenarioError(f"segment {k} (t = {starts[k]:g}) fails validation: {report}")
-    return scenario

@@ -70,7 +70,7 @@ def dynamics_runs():
 
 def test_dynamics_settle_to_kkt_points(dynamics_runs):
     worst_residual = max(res.kkt.max_residual for _, res, _, _ in dynamics_runs)
-    worst_violation = max(res.max_violation for _, res, _, _ in dynamics_runs)
+    worst_violation = max(res.kkt.max_violation for _, res, _, _ in dynamics_runs)
     assert worst_residual < 1e-4, f"worst final KKT residual {worst_residual:.3e}"
     assert worst_violation < 1e-5, f"worst final limit violation {worst_violation:.3e}"
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import droopflow
-from droopflow import ScenarioError, cli, integrate, load_scenario, oracle
+from droopflow import ScenarioError, cli, integrate, load_scenario, oracle, problem
 from droopflow.cli import main, run
 from droopflow.verify import run_suite
 
@@ -49,7 +49,7 @@ def write_scenario(tmp_path, text, name="case.scenario"):
 
 def test_bundled_scenario_parses():
     sc = load_scenario(BUNDLED)
-    assert sc.graph.n == 3
+    assert sc.segment_problem(0).n == 3
     assert sc.n_segments == 6
     assert sc.base_power == 100.0
     assert sc.segment_span(0) == (0.0, 40.0)
@@ -58,6 +58,8 @@ def test_bundled_scenario_parses():
     p = sc.segment_problem(1)
     assert float(np.sum(p.p_star)) == float(np.sum(p.p_load))
     assert np.all(sc.initial_state.primal == 0)
+    # each segment's problem is the one validated at load time
+    assert all(sc.segment_problem(k) is sc.segment_problem(k) for k in range(6))
 
 
 @pytest.mark.parametrize(
@@ -131,7 +133,7 @@ def test_run_chains_segments_and_tracks_saturation(tmp_path):
     assert s1.prediction.case == "above_dispatch"
     assert s1.prediction.active_upper == frozenset({0})
     assert s1.saturated_upper == (0,)
-    assert s1.max_violation < 1e-5
+    assert s1.kkt.max_violation < 1e-5
     assert report.all_agree
 
     # pu -> MW conversion is an exact scaling
@@ -200,8 +202,17 @@ def test_long_csv_shape(tmp_path, monkeypatch):
     assert lines[1].startswith("0,theta_0,")
 
 
-def test_bundled_scenario_csv_has_one_row_per_timestamp(tmp_path):
+def test_bundled_scenario_csv_has_one_row_per_timestamp(tmp_path, monkeypatch):
+    builds = []
+    build_transform = problem.build_transform
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_transform(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "build_transform", counting)
     assert main(["simulate", str(BUNDLED), "--out", str(tmp_path)]) == 0
+    assert len(builds) == 6  # one problem per segment, built at load time
     wide = np.loadtxt(tmp_path / "nine_bus_trajectory.csv", delimiter=",", skiprows=1)
     assert len(wide) == 2401  # 0, 0.1, ..., 240 s: no boundary appears twice
     assert np.all(np.diff(wide[:, 0]) > 0)
@@ -374,6 +385,49 @@ def test_predict_rejects_unusable_csv_before_predicting(tmp_path, csv):
     assert code == 2
     assert f"error: --csv {tmp_path / csv} is not a file path" in err
     assert stdout.getvalue() == ""
+
+
+# Segments at 0, 0.4 and 2.6 steps of h = 1e-3: no span is a whole
+# number of steps, so no segment could run for the time its rows show.
+OFF_GRID = (
+    MINI.replace("segment = 20 ", "segment = 0.0004 ")
+    .replace("segment = 40 ", "segment = 0.0026 ")
+    .replace("t_end = 60", "t_end = 0.005")
+)
+
+
+@pytest.mark.parametrize(
+    "text,flags,message",
+    [
+        (OFF_GRID, [], "segment 0 (t_start = 0): span 0.0004 s"),
+        (MINI, ["--h", "7e-4"], "segment 0 (t_start = 0): span 20 s"),
+        (MINI, ["--t-end", "50.0005"], "segment 2 (t_start = 40): span 10.0005 s"),
+        (MINI, ["--t-end", "40.0004"], "segment 2 (t_start = 40): span 0.0004 s"),
+    ],
+    ids=["file", "h_override", "t_end_override", "short_last_segment"],
+)
+def test_simulate_rejects_spans_off_the_step_grid(tmp_path, text, flags, message):
+    path = write_scenario(tmp_path, text)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+        code, err = _main_err(["simulate", str(path), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert f"error: {message}" in err and "is not a whole number of steps of h" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_run_over_the_step_limit(tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "integrate", never)
+        code, err = _main_err(["simulate", str(BUNDLED), "--out", str(tmp_path), "--h", "1e-12"])
+    assert code == 2
+    assert f"more than {cli.MAX_RUN_STEPS:,} steps of h = 1e-12 s" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # Total load 1e-14 below sum(P_hi): the file loads, but the oracle puts
